@@ -118,7 +118,7 @@ def cmd_run(args) -> int:
             filename=args.file,
         )
     # Only arm a plan when probes were requested: an armed plan (even an
-    # empty one) sidelines the interpreter's pre-decoded fast path.
+    # empty one) demotes the interpreter to the slow tier.
     from contextlib import nullcontext
 
     with faults.injected(*specs) if specs else nullcontext():

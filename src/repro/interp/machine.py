@@ -26,30 +26,43 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..ir.iloc import Instr, Op, Reg
 from ..pdg.graph import GlobalVar
 from .memory import MachineFault, Memory
-from .stats import Counters, ExecStats
+from .stats import ExecStats
 
 Number = Union[int, float]
 
-#: The three interpreter tiers, slowest first.  ``REPRO_INTERP`` selects
+#: The two interpreter tiers, slowest first.  ``REPRO_INTERP`` selects
 #: one globally (read at machine construction, so tests can monkeypatch
 #: it): ``slow`` forces the original instruction-by-instruction dispatch
-#: everywhere (used to prove tier equivalence end to end), ``fast`` the
-#: pre-decoded handler table, and ``compiled`` — the default — the
-#: pycompile tier (decoded images translated to specialized Python).
-INTERP_TIERS = ("slow", "fast", "compiled")
+#: everywhere (the semantic authority, used to prove tier equivalence end
+#: to end), and ``compiled`` — the default — the pycompile tier (decoded
+#: images translated to specialized Python).
+INTERP_TIERS = ("slow", "compiled")
 DEFAULT_TIER = "compiled"
 
 
+def _check_tier(tier: str) -> str:
+    if tier not in INTERP_TIERS:
+        raise ValueError(
+            f"unknown interpreter tier {tier!r}; expected one of {INTERP_TIERS}"
+        )
+    return tier
+
+
 def _env_tier() -> Optional[str]:
+    """The tier named by ``REPRO_INTERP`` (None when unset or empty).
+
+    An unknown name raises instead of falling back to the default: a stale
+    setting must not quietly run a different tier than it claims to.
+    """
     value = os.environ.get("REPRO_INTERP", "").strip().lower()
-    return value if value in INTERP_TIERS else None
+    return _check_tier(value) if value else None
 
 
 class _Bailout(Exception):
     """Private transport for a fault raised after a compiled-tier bail.
 
-    When compiled code bails to the decoded fast path (cycle budget about
-    to trip), the fast path flushes counters and annotates the fault
+    When compiled code bails to the slow dispatch loop (cycle budget about
+    to trip), the slow loop flushes counters and annotates the fault
     itself; the generated fault handlers of every compiled frame still on
     the stack must *not* flush again.  Wrapping the fault in an exception
     type they do not catch makes the pass-through structural;
@@ -90,11 +103,11 @@ class FunctionImage:
     code: Sequence[Instr]
     param_slots: List[str]
     labels: Dict[str, int] = field(default_factory=dict)
-    #: lazily decoded fast-path form (None = not decoded yet, False =
-    #: decode failed and the slow path is authoritative for this image).
+    #: lazily decoded form, the input to translation (None = not decoded
+    #: yet, False = decode failed and the slow path runs this image).
     _decoded: object = field(default=None, init=False, repr=False, compare=False)
     #: lazily compiled pycompile-tier artifact, cached alongside the
-    #: decode cache with the same tri-state convention (None / False /
+    #: decoded form with the same tri-state convention (None / False /
     #: :class:`~repro.interp.pycompile.PyCompiledFunction`).
     _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -110,8 +123,7 @@ class FunctionImage:
         Decoding happens once per image and is shared by every machine
         (the code is frozen once an image exists).  Returns None when the
         image cannot be decoded — the slow path then reproduces whatever
-        behaviour (including crashes) the original code has, at original
-        timing.
+        behaviour (including crashes) the original code has.
         """
         if self._decoded is None:
             try:
@@ -127,8 +139,8 @@ class FunctionImage:
 
         Like :meth:`decoded_or_none`, translation happens once per image
         and the artifact is shared by every machine.  Returns None when
-        the image cannot be compiled — the decoded fast path (or the
-        slow path) is then authoritative for this image.
+        the image cannot be compiled — the slow path then runs this
+        image.
         """
         if self._compiled is None:
             decoded = self.decoded_or_none()
@@ -158,16 +170,14 @@ class ProgramImage:
 
 
 class _Frame:
-    __slots__ = ("regs", "slots", "stack_mark", "counts")
+    __slots__ = ("regs", "slots", "stack_mark")
 
     def __init__(self, stack_mark: int):
-        #: keyed by Reg on the slow path, by dense int on the fast path.
-        self.regs: Dict[object, Number] = {}
+        #: keyed by Reg.  Only the slow tier uses it: compiled code keeps
+        #: registers in Python locals and fills it in only when it bails.
+        self.regs: Dict[Reg, Number] = {}
         self.slots: Dict[str, Number] = {}
         self.stack_mark = stack_mark
-        #: fast-path pending [loads, stores, copies], flushed into the
-        #: Counters at frame exit, call boundaries, and faults.
-        self.counts = [0, 0, 0]
 
 
 class Tracer:
@@ -202,7 +212,6 @@ class Machine:
         program: ProgramImage,
         max_cycles: int = 50_000_000,
         tracer: Optional[Tracer] = None,
-        force_slow: Optional[bool] = None,
         tier: Optional[str] = None,
     ):
         self.program = program
@@ -210,27 +219,14 @@ class Machine:
         self.memory = Memory(program.globals)
         self.stats = ExecStats()
         self.tracer = tracer
-        #: requested interpreter tier.  Resolution order: the explicit
-        #: ``tier`` argument, then ``force_slow`` (the pre-tier opt-out,
-        #: kept for compatibility: True means ``slow``, False pins a
-        #: non-slow tier), then ``REPRO_INTERP``, then the default.
-        #: A tracer or an armed fault plan still demotes execution to
-        #: the slow path at dispatch time (see :meth:`uses_fast_path`).
+        #: requested interpreter tier: the explicit ``tier`` argument,
+        #: then ``REPRO_INTERP``, then the default.  A tracer or an armed
+        #: fault plan still demotes execution to the slow tier at
+        #: dispatch time (see :meth:`interp_tier`).
         if tier is not None:
-            if tier not in INTERP_TIERS:
-                raise ValueError(
-                    f"unknown interpreter tier {tier!r}; "
-                    f"expected one of {INTERP_TIERS}"
-                )
-            self.tier = tier
-        elif force_slow:
-            self.tier = "slow"
+            self.tier = _check_tier(tier)
         else:
-            env = _env_tier()
-            if force_slow is not None and env == "slow":
-                env = None  # explicit force_slow=False overrides the env
-            self.tier = env or DEFAULT_TIER
-        self.force_slow = self.tier == "slow"
+            self.tier = _env_tier() or DEFAULT_TIER
         #: seconds spent decoding images on behalf of this machine (zero
         #: when every image was already decoded by an earlier run).
         self.decode_seconds = 0.0
@@ -239,9 +235,8 @@ class Machine:
         #: translation).
         self.pycompile_seconds = 0.0
         self._arg_queue: List[Number] = []
-        #: pc of the instruction currently dispatching, always in
-        #: *original-code* coordinates (fast-path faults are mapped back
-        #: through the decoded image's pc_map).
+        #: pc of the instruction currently dispatching on the slow tier,
+        #: in original-code coordinates.
         self._fault_pc = 0
         #: effective tier, re-resolved at every :meth:`run` (fault plans
         #: arm and disarm between runs, never mid-run) so the per-
@@ -256,53 +251,25 @@ class Machine:
         self.stats.interp_tier = self._mode
         return self._call(entry, list(args))
 
-    def uses_fast_path(self) -> bool:
-        """True when dispatch will run on decoded or compiled images: no
-        tracer attached, fault injection not armed, slow tier not
-        selected.  A tracer and an armed fault plan demote the compiled
-        tier exactly as they demote the fast path — both observation
-        mechanisms are wired into the slow dispatch loop only."""
-        return (
-            self.tier != "slow"
-            and self.tracer is None
-            and _faults_active() is None
-        )
-
     def interp_tier(self) -> str:
-        """The tier dispatch will actually use for this machine."""
-        return self.tier if self.uses_fast_path() else "slow"
+        """The tier dispatch will actually use for this machine.
 
-    def predecode(self) -> int:
-        """Eagerly prepare every function image for the active tier
-        (normally decode/translate happens on first activation); returns
-        the number of images made ready."""
-        if not self.uses_fast_path():
-            return 0
-        count = 0
-        compiled_tier = self.tier == "compiled"
-        for image in self.program.functions.values():
-            if compiled_tier and self._compiled_for(image) is not None:
-                count += 1
-            elif self._decoded_for(image) is not None:
-                count += 1
-        return count
-
-    def _decoded_for(self, image: FunctionImage):
-        decoded = image._decoded
-        if decoded is None:
-            started = time.perf_counter()
-            decoded = image.decoded_or_none()
-            self.decode_seconds += time.perf_counter() - started
-            return decoded
-        return decoded or None
+        A tracer and an armed fault plan demote the compiled tier to the
+        slow one: both observation mechanisms are wired into the slow
+        dispatch loop only."""
+        if self.tracer is None and _faults_active() is None:
+            return self.tier
+        return "slow"
 
     def _compiled_for(self, image: FunctionImage):
         compiled = image._compiled
         if compiled is None:
-            self._decoded_for(image)  # attribute decode time separately
             started = time.perf_counter()
+            image.decoded_or_none()  # timed apart from translation
+            decoded = time.perf_counter()
             compiled = image.compiled_or_none()
-            self.pycompile_seconds += time.perf_counter() - started
+            self.decode_seconds += decoded - started
+            self.pycompile_seconds += time.perf_counter() - decoded
             return compiled
         return compiled or None
 
@@ -342,149 +309,41 @@ class Machine:
             try:
                 return compiled.fn(self, frame)
             except _Bailout as bailout:
-                # A compiled frame bailed to the fast path and faulted
+                # A compiled frame bailed to the slow tier and faulted
                 # there, fully flushed and annotated.
                 raise bailout.fault from None
         finally:
             self.memory.release_to(frame.stack_mark)
 
     def _execute(self, image: FunctionImage, frame: _Frame) -> Number:
-        mode = self._mode
-        if mode != "slow":
-            if mode == "compiled":
-                compiled = image._compiled
-                if compiled is None:
-                    compiled = self._compiled_for(image)
-                if compiled:
-                    try:
-                        return compiled.fn(self, frame)
-                    except _Bailout as bailout:
-                        # A compiled frame bailed to the fast path and
-                        # faulted there, fully flushed and annotated.
-                        raise bailout.fault from None
-            decoded = self._decoded_for(image)
-            if decoded is not None:
-                return self._dispatch_fast(image, decoded, frame)
-        code = image.code
-        counters = self.stats.function(image.name)
-        total = self.stats.total
-        try:
-            return self._dispatch(image, frame, code, counters, total)
-        except MachineFault as fault:
-            # Innermost frame wins: annotate() never overwrites fields a
-            # callee's dispatch already filled in.
-            raise fault.annotate(
-                function=image.name, pc=self._fault_pc, cycles=total.cycles
-            )
+        if self._mode == "compiled":
+            compiled = image._compiled
+            if compiled is None:
+                compiled = self._compiled_for(image)
+            if compiled:
+                try:
+                    return compiled.fn(self, frame)
+                except _Bailout as bailout:
+                    # A compiled frame bailed to the slow tier and
+                    # faulted there, fully flushed and annotated.
+                    raise bailout.fault from None
+        return self._dispatch(image, frame)
 
-    def _dispatch_fast(
-        self,
-        image: FunctionImage,
-        decoded,
-        frame: _Frame,
-        pc: int = 0,
-        cycles: int = 0,
-    ) -> Number:
-        """Drive the decoded handler table (see :mod:`repro.interp.decode`).
+    def _dispatch(self, image: FunctionImage, frame: _Frame, pc: int = 0) -> Number:
+        """Run ``image`` one instruction at a time from original pc ``pc``.
 
-        Cycles accumulate in a local and are folded into the shared
-        Counters at returns, call boundaries, and faults; the budget test
-        against ``limit`` is therefore equivalent to the slow path's
-        per-instruction ``total.cycles > max_cycles`` check.  ``ret`` and
-        ``call`` are handled inline because both need that flush.
-
-        ``pc``/``cycles`` are nonzero only when the compiled tier bails
-        mid-activation (see :func:`repro.interp.pycompile._bail`): the
-        dispatch resumes at the bail point carrying the compiled frame's
-        unflushed cycle count, so the budget fault fires at exactly the
-        instruction and cycle the per-instruction tiers would report.
+        ``pc`` is nonzero only when the compiled tier bails mid-activation
+        (see :func:`repro.interp.pycompile._bail`) and this loop takes
+        over the rest of the activation.  Faults leave annotated with this
+        function, the faulting pc and the cycle count; annotate() never
+        overwrites fields a callee's dispatch already filled in, so the
+        innermost frame wins.
         """
-        from .decode import HANDLERS
-
-        code = decoded.code
+        code = image.code
         n = len(code)
-        regs = frame.regs
-        counts = frame.counts
         counters = self.stats.function(image.name)
         total = self.stats.total
-        max_cycles = self.max_cycles
-        limit = max_cycles - total.cycles
-        result = 0
-        try:
-            while pc < n:
-                ins = code[pc]
-                op = ins[0]
-                cycles += 1
-                if cycles > limit:
-                    raise MachineFault(f"cycle budget exceeded in {image.name}")
-                if op > 1:
-                    pc = HANDLERS[op](self, frame, regs, ins, pc)
-                elif op == 0:  # ret
-                    src = ins[1]
-                    result = regs[src] if src is not None else 0
-                    break
-                else:  # call
-                    callee = ins[1]
-                    arity = len(self.program.image(callee).param_slots)
-                    queue = self._arg_queue
-                    if len(queue) < arity:
-                        raise MachineFault(
-                            f"call to {callee} with too few queued params"
-                        )
-                    args = queue[len(queue) - arity:]
-                    del queue[len(queue) - arity:]
-                    # Flush before recursing so the callee's budget check
-                    # and fault annotation see an up-to-date total.
-                    total.cycles += cycles
-                    counters.cycles += cycles
-                    cycles = 0
-                    value = self._call(callee, args)
-                    limit = max_cycles - total.cycles
-                    dst = ins[2]
-                    if dst is not None:
-                        regs[dst] = value
-                    pc += 1
-        except MachineFault as fault:
-            total.cycles += cycles
-            counters.cycles += cycles
-            _flush_counts(counts, counters, total)
-            self._fault_pc = decoded.pc_map[pc] if pc < n else 0
-            raise fault.annotate(
-                function=image.name, pc=self._fault_pc, cycles=total.cycles
-            )
-        except KeyError as err:
-            # An uninitialized register read: the only bare KeyError the
-            # handlers can leak is a miss in the dense register file.
-            key = err.args[0] if err.args else None
-            if not (isinstance(key, int) and 0 <= key < len(decoded.regs)):
-                raise
-            total.cycles += cycles
-            counters.cycles += cycles
-            _flush_counts(counts, counters, total)
-            self._fault_pc = decoded.pc_map[pc]
-            raise MachineFault(
-                f"read of uninitialized register {decoded.regs[key]} "
-                f"in {image.name}",
-                function=image.name,
-                pc=self._fault_pc,
-                cycles=total.cycles,
-            ) from None
-        total.cycles += cycles
-        counters.cycles += cycles
-        _flush_counts(counts, counters, total)
-        return result
-
-    def _dispatch(
-        self,
-        image: FunctionImage,
-        frame: _Frame,
-        code: Sequence[Instr],
-        counters: Counters,
-        total: Counters,
-    ) -> Number:
-        pc = 0
-        n = len(code)
-        self._fault_pc = 0
+        self._fault_pc = pc
 
         def get(reg: Reg) -> Number:
             try:
@@ -494,140 +353,128 @@ class Machine:
                     f"read of uninitialized register {reg} in {image.name}"
                 ) from None
 
-        while pc < n:
-            self._fault_pc = pc
-            instr = code[pc]
-            op = instr.op
-            if op is Op.LABEL:
-                pc += 1
-                continue
+        try:
+            while pc < n:
+                self._fault_pc = pc
+                instr = code[pc]
+                op = instr.op
+                if op is Op.LABEL:
+                    pc += 1
+                    continue
 
-            total.cycles += 1
-            counters.cycles += 1
-            if total.cycles > self.max_cycles:
-                raise MachineFault(f"cycle budget exceeded in {image.name}")
-            if self.tracer is not None:
-                self.tracer.record(image.name, pc, instr)
+                total.cycles += 1
+                counters.cycles += 1
+                if total.cycles > self.max_cycles:
+                    raise MachineFault(f"cycle budget exceeded in {image.name}")
+                if self.tracer is not None:
+                    self.tracer.record(image.name, pc, instr)
 
-            if op is Op.LOADI:
-                frame.regs[instr.dst] = instr.imm
-            elif op is Op.ADD:
-                frame.regs[instr.dst] = get(instr.srcs[0]) + get(instr.srcs[1])
-            elif op is Op.SUB:
-                frame.regs[instr.dst] = get(instr.srcs[0]) - get(instr.srcs[1])
-            elif op is Op.MUL:
-                frame.regs[instr.dst] = get(instr.srcs[0]) * get(instr.srcs[1])
-            elif op is Op.DIV:
-                frame.regs[instr.dst] = _div(get(instr.srcs[0]), get(instr.srcs[1]))
-            elif op is Op.MOD:
-                frame.regs[instr.dst] = _mod(get(instr.srcs[0]), get(instr.srcs[1]))
-            elif op is Op.NEG:
-                frame.regs[instr.dst] = -get(instr.srcs[0])
-            elif op is Op.CMP_LT:
-                frame.regs[instr.dst] = int(get(instr.srcs[0]) < get(instr.srcs[1]))
-            elif op is Op.CMP_LE:
-                frame.regs[instr.dst] = int(get(instr.srcs[0]) <= get(instr.srcs[1]))
-            elif op is Op.CMP_GT:
-                frame.regs[instr.dst] = int(get(instr.srcs[0]) > get(instr.srcs[1]))
-            elif op is Op.CMP_GE:
-                frame.regs[instr.dst] = int(get(instr.srcs[0]) >= get(instr.srcs[1]))
-            elif op is Op.CMP_EQ:
-                frame.regs[instr.dst] = int(get(instr.srcs[0]) == get(instr.srcs[1]))
-            elif op is Op.CMP_NE:
-                frame.regs[instr.dst] = int(get(instr.srcs[0]) != get(instr.srcs[1]))
-            elif op is Op.AND:
-                frame.regs[instr.dst] = int(
-                    bool(get(instr.srcs[0])) and bool(get(instr.srcs[1]))
-                )
-            elif op is Op.OR:
-                frame.regs[instr.dst] = int(
-                    bool(get(instr.srcs[0])) or bool(get(instr.srcs[1]))
-                )
-            elif op is Op.NOT:
-                frame.regs[instr.dst] = int(not get(instr.srcs[0]))
-            elif op is Op.I2I:
-                total.copies += 1
-                counters.copies += 1
-                frame.regs[instr.dst] = get(instr.srcs[0])
-            elif op is Op.LOAD:
-                total.loads += 1
-                counters.loads += 1
-                frame.regs[instr.dst] = self.memory.load(get(instr.srcs[0]))
-            elif op is Op.STORE:
-                total.stores += 1
-                counters.stores += 1
-                self.memory.store(get(instr.srcs[1]), get(instr.srcs[0]))
-            elif op is Op.LDM:
-                total.loads += 1
-                counters.loads += 1
-                if instr.addr.space == "spill":
-                    frame.regs[instr.dst] = frame.slots.get(instr.addr.name, 0)
-                else:
-                    frame.regs[instr.dst] = self.memory.load_scalar(instr.addr.name)
-            elif op is Op.STM:
-                total.stores += 1
-                counters.stores += 1
-                if instr.addr.space == "spill":
-                    frame.slots[instr.addr.name] = get(instr.srcs[0])
-                else:
-                    self.memory.store_scalar(instr.addr.name, get(instr.srcs[0]))
-            elif op is Op.LOADA:
-                try:
-                    frame.regs[instr.dst] = self.memory.array_base[instr.addr.name]
-                except KeyError:
-                    raise MachineFault(
-                        f"unknown global array {instr.addr.name!r}"
-                    ) from None
-            elif op is Op.ALLOCA:
-                frame.regs[instr.dst] = self.memory.alloca(int(instr.imm))
-            elif op is Op.CBR:
-                pc = image.labels[
-                    instr.label if get(instr.srcs[0]) else instr.label_false
-                ]
-                continue
-            elif op is Op.JMP:
-                pc = image.labels[instr.label]
-                continue
-            elif op is Op.PARAM:
-                self._arg_queue.append(get(instr.srcs[0]))
-            elif op is Op.CALL:
-                arity = len(self.program.image(instr.callee).param_slots)
-                if len(self._arg_queue) < arity:
-                    raise MachineFault(
-                        f"call to {instr.callee} with too few queued params"
+                if op is Op.LOADI:
+                    frame.regs[instr.dst] = instr.imm
+                elif op is Op.ADD:
+                    frame.regs[instr.dst] = get(instr.srcs[0]) + get(instr.srcs[1])
+                elif op is Op.SUB:
+                    frame.regs[instr.dst] = get(instr.srcs[0]) - get(instr.srcs[1])
+                elif op is Op.MUL:
+                    frame.regs[instr.dst] = get(instr.srcs[0]) * get(instr.srcs[1])
+                elif op is Op.DIV:
+                    frame.regs[instr.dst] = _div(get(instr.srcs[0]), get(instr.srcs[1]))
+                elif op is Op.MOD:
+                    frame.regs[instr.dst] = _mod(get(instr.srcs[0]), get(instr.srcs[1]))
+                elif op is Op.NEG:
+                    frame.regs[instr.dst] = -get(instr.srcs[0])
+                elif op is Op.CMP_LT:
+                    frame.regs[instr.dst] = int(get(instr.srcs[0]) < get(instr.srcs[1]))
+                elif op is Op.CMP_LE:
+                    frame.regs[instr.dst] = int(get(instr.srcs[0]) <= get(instr.srcs[1]))
+                elif op is Op.CMP_GT:
+                    frame.regs[instr.dst] = int(get(instr.srcs[0]) > get(instr.srcs[1]))
+                elif op is Op.CMP_GE:
+                    frame.regs[instr.dst] = int(get(instr.srcs[0]) >= get(instr.srcs[1]))
+                elif op is Op.CMP_EQ:
+                    frame.regs[instr.dst] = int(get(instr.srcs[0]) == get(instr.srcs[1]))
+                elif op is Op.CMP_NE:
+                    frame.regs[instr.dst] = int(get(instr.srcs[0]) != get(instr.srcs[1]))
+                elif op is Op.AND:
+                    frame.regs[instr.dst] = int(
+                        bool(get(instr.srcs[0])) and bool(get(instr.srcs[1]))
                     )
-                args = self._arg_queue[len(self._arg_queue) - arity:]
-                del self._arg_queue[len(self._arg_queue) - arity:]
-                result = self._call(instr.callee, args)
-                if instr.dst is not None:
-                    frame.regs[instr.dst] = result
-            elif op is Op.RET:
-                return get(instr.srcs[0]) if instr.srcs else 0
-            elif op is Op.PRINT:
-                self.stats.output.append(get(instr.srcs[0]))
-            elif op is Op.NOP:
-                pass
-            else:  # pragma: no cover
-                raise MachineFault(f"cannot execute {instr}")
-            pc += 1
-        return 0
-
-
-def _flush_counts(counts: List[int], counters: Counters, total: Counters) -> None:
-    """Fold a frame's pending load/store/copy counts into the stats."""
-    loads, stores, copies = counts
-    if loads:
-        total.loads += loads
-        counters.loads += loads
-        counts[0] = 0
-    if stores:
-        total.stores += stores
-        counters.stores += stores
-        counts[1] = 0
-    if copies:
-        total.copies += copies
-        counters.copies += copies
-        counts[2] = 0
+                elif op is Op.OR:
+                    frame.regs[instr.dst] = int(
+                        bool(get(instr.srcs[0])) or bool(get(instr.srcs[1]))
+                    )
+                elif op is Op.NOT:
+                    frame.regs[instr.dst] = int(not get(instr.srcs[0]))
+                elif op is Op.I2I:
+                    total.copies += 1
+                    counters.copies += 1
+                    frame.regs[instr.dst] = get(instr.srcs[0])
+                elif op is Op.LOAD:
+                    total.loads += 1
+                    counters.loads += 1
+                    frame.regs[instr.dst] = self.memory.load(get(instr.srcs[0]))
+                elif op is Op.STORE:
+                    total.stores += 1
+                    counters.stores += 1
+                    self.memory.store(get(instr.srcs[1]), get(instr.srcs[0]))
+                elif op is Op.LDM:
+                    total.loads += 1
+                    counters.loads += 1
+                    if instr.addr.space == "spill":
+                        frame.regs[instr.dst] = frame.slots.get(instr.addr.name, 0)
+                    else:
+                        frame.regs[instr.dst] = self.memory.load_scalar(instr.addr.name)
+                elif op is Op.STM:
+                    total.stores += 1
+                    counters.stores += 1
+                    if instr.addr.space == "spill":
+                        frame.slots[instr.addr.name] = get(instr.srcs[0])
+                    else:
+                        self.memory.store_scalar(instr.addr.name, get(instr.srcs[0]))
+                elif op is Op.LOADA:
+                    try:
+                        frame.regs[instr.dst] = self.memory.array_base[instr.addr.name]
+                    except KeyError:
+                        raise MachineFault(
+                            f"unknown global array {instr.addr.name!r}"
+                        ) from None
+                elif op is Op.ALLOCA:
+                    frame.regs[instr.dst] = self.memory.alloca(int(instr.imm))
+                elif op is Op.CBR:
+                    pc = image.labels[
+                        instr.label if get(instr.srcs[0]) else instr.label_false
+                    ]
+                    continue
+                elif op is Op.JMP:
+                    pc = image.labels[instr.label]
+                    continue
+                elif op is Op.PARAM:
+                    self._arg_queue.append(get(instr.srcs[0]))
+                elif op is Op.CALL:
+                    arity = len(self.program.image(instr.callee).param_slots)
+                    if len(self._arg_queue) < arity:
+                        raise MachineFault(
+                            f"call to {instr.callee} with too few queued params"
+                        )
+                    args = self._arg_queue[len(self._arg_queue) - arity:]
+                    del self._arg_queue[len(self._arg_queue) - arity:]
+                    result = self._call(instr.callee, args)
+                    if instr.dst is not None:
+                        frame.regs[instr.dst] = result
+                elif op is Op.RET:
+                    return get(instr.srcs[0]) if instr.srcs else 0
+                elif op is Op.PRINT:
+                    self.stats.output.append(get(instr.srcs[0]))
+                elif op is Op.NOP:
+                    pass
+                else:  # pragma: no cover
+                    raise MachineFault(f"cannot execute {instr}")
+                pc += 1
+            return 0
+        except MachineFault as fault:
+            raise fault.annotate(
+                function=image.name, pc=self._fault_pc, cycles=total.cycles
+            )
 
 
 def _div(a: Number, b: Number) -> Number:

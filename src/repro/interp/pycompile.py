@@ -1,9 +1,9 @@
 """The compiled interpreter tier: decoded images translated to Python.
 
-The decoded fast path (:mod:`repro.interp.decode`) still pays, per
-executed ILOC instruction, for one trip around a dispatch loop: a tuple
-index, a handler-table load, a Python call, and a dict operation per
-register operand.  This module removes all of that by translating each
+The slow dispatch loop in :mod:`repro.interp.machine` pays, per executed
+ILOC instruction, for an ``Op`` enum identity ladder, label skipping,
+hashing of :class:`~repro.ir.iloc.Reg` dataclasses, and a closure call
+per operand read.  This module removes all of that by translating each
 :class:`~repro.interp.decode.DecodedFunction` once into the source of a
 single specialized Python function which is then ``compile()``d and
 ``exec``d:
@@ -19,20 +19,20 @@ single specialized Python function which is then ``compile()``d and
   instead of incrementing per instruction.
 
 Exactness is non-negotiable — the compiled tier must be observationally
-identical to the slow path (the fast path already is):
+identical to the slow path:
 
 * **Counters.**  Within a basic block, the counters can only be
   observed at calls, returns, and faults; adding a segment's static
   totals at those points is indistinguishable from the per-instruction
-  increments the other tiers perform.
-* **Cycle budget.**  The fast path checks ``cycles > limit`` after each
+  increments the slow path performs.
+* **Cycle budget.**  The slow path checks the budget after each
   increment.  A straight-line segment of ``B`` instructions runs them
   all unconditionally, so the budget trips inside the segment *iff*
   ``cycles + B > limit`` at segment entry.  The compiled code tests
   exactly that, and when it would trip it *bails*: registers are
   materialized back into the frame and execution resumes
-  instruction-by-instruction on the decoded fast path from the segment
-  start, which then produces the byte-identical fault (whichever of
+  instruction-by-instruction on the slow path from the segment start,
+  which then produces the byte-identical fault (whichever of
   budget/divide/etc. comes first).  The bail path only runs on
   activations that are already guaranteed to fault, so it costs nothing
   on the happy path.
@@ -49,9 +49,9 @@ identical to the slow path (the fast path already is):
   other tiers raise.
 
 The compiled artifact is cached on the :class:`FunctionImage` next to
-the decode cache, so every machine (and every sweep cell or service
+the decoded form, so every machine (and every sweep cell or service
 worker touching that image) shares one translation.  Any failure to
-translate falls back to the decoded fast path for that image alone.
+translate falls back to the slow path for that image alone.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from .decode import (
     OP_STORE,
     DecodedFunction,
 )
-from .machine import _div, _mod
+from .machine import _Bailout, _div, _mod
 from .memory import MachineFault
 
 __all__ = ["PyCompiledFunction", "compile_decoded"]
@@ -170,14 +170,16 @@ def _bail(
     lcls,
     slot_names=(),
 ):
-    """Leave compiled code and replay from ``pc`` on the decoded fast path.
+    """Leave compiled code and replay from decoded ``pc`` on the slow path.
 
     Called when a segment's cycle pre-check says the budget would trip
-    inside it: the activation is guaranteed to fault, and the fast path
-    is the authority on *which* instruction faults first.  Registers
-    (and promoted frame slots, mapped back through ``slot_names``) move
-    from Python locals into the frame; pending counter deltas move into
-    ``frame.counts``, where the fast path accumulates and flushes them.
+    inside it: the activation is guaranteed to fault, and the slow path
+    is the authority on *which* instruction faults first (an earlier
+    divide by zero or uninitialized read beats the budget).  Registers
+    move from Python locals into the frame, re-keyed through
+    ``decoded.regs``; promoted frame slots move back through
+    ``slot_names``; pending counter deltas are flushed into the stats.
+    The slow loop then resumes at the segment's original-code pc.
 
     The resulting fault is fully flushed and annotated, so it must sail
     *through* this activation's own generated ``except MachineFault``
@@ -185,21 +187,22 @@ def _bail(
     wrapped in :class:`~repro.interp.machine._Bailout` and is unwrapped
     at the activation boundary in :class:`~repro.interp.machine.Machine`.
     """
-    from .machine import _Bailout
-
     regs = frame.regs
+    reg_of = decoded.regs
     slots = frame.slots
     for key, value in lcls.items():
         if key[0] == "r" and key[1:].isdigit():
-            regs[int(key[1:])] = value
+            regs[reg_of[int(key[1:])]] = value
         elif key.startswith("_s") and key[2:].isdigit():
             slots[slot_names[int(key[2:])]] = value
-    counts = frame.counts
-    counts[0] += loads
-    counts[1] += stores
-    counts[2] += copies
+    stats = machine.stats
+    for scope in (stats.total, stats.function(image.name)):
+        scope.cycles += cycles
+        scope.loads += loads
+        scope.stores += stores
+        scope.copies += copies
     try:
-        return machine._dispatch_fast(image, decoded, frame, pc=pc, cycles=cycles)
+        return machine._dispatch(image, frame, decoded.pc_map[pc])
     except MachineFault as fault:
         raise _Bailout(fault) from None
 
@@ -664,9 +667,9 @@ class _Emitter:
         d_cp: int,
     ) -> None:
         """``call``: account and flush cycles first (so the callee's
-        budget check and fault annotation see an up-to-date total,
-        exactly like the fast path's inline handling), then the arity
-        check, then the activation itself."""
+        budget check and fault annotation see an up-to-date total, as
+        the slow path's per-instruction accounting does), then the
+        arity check, then the activation itself."""
         self.uses.update(("_argq", "_prog_image", "_machine_call", "_max_cycles"))
         callee = ins[1]
         self.emit_accounting(depth, seg_len, d_ld, d_st, d_cp)
@@ -804,7 +807,8 @@ def _safe_ident(name: str) -> str:
 #: each distinct (name, code, pc_map, regs) once is then enough, because
 #: the generated source depends on nothing else (the executing machine
 #: and frame are call arguments, and the ``_IMAGE``/``_DECODED`` bindings
-#: the bail path closes over are content-equal stand-ins).  Bounded FIFO
+#: the bail path closes over are stand-ins with the same decoded form, on
+#: which the resumed slow loop behaves identically).  Bounded FIFO
 #: so a long-lived service daemon cannot grow it without limit.
 _ARTIFACTS: Dict[tuple, "PyCompiledFunction"] = {}
 _ARTIFACTS_MAX = 4096

@@ -1,7 +1,7 @@
 """Golden equivalence of the compiled tier and the slow path.
 
 The compile-to-Python tier must be an *observationally invisible*
-optimization, exactly like the decoded fast path: identical outputs,
+optimization: identical outputs,
 identical cycle/load/store/copy counters (total and per-function), and
 identical fault annotations — with the fault pc always reported in
 original-code coordinates, even though the generated Python executes
@@ -127,8 +127,8 @@ def single_image(code, globals_=(), params=(), extra=None):
 class TestFaultEquivalence:
     """Hand-built images hitting every fault class on both tiers.
 
-    Expected tuples are copied from ``test_decode.py`` — the compiled
-    tier must agree with the slow path on the same coordinates."""
+    The expected tuples are the slow path's coordinates; the compiled
+    tier must report exactly the same ones."""
 
     def test_uninitialized_register(self):
         image = single_image(
@@ -272,7 +272,7 @@ void main() {
 
 
 class TestBudgetBail:
-    """Mid-segment budget exhaustion bails to the fast path, which must
+    """Mid-segment budget exhaustion bails to the slow tier, which must
     land on exactly the slow path's fault coordinates and counters."""
 
     @pytest.mark.parametrize("budget", [500, 5_000, 50_000])
@@ -285,12 +285,94 @@ class TestBudgetBail:
     @pytest.mark.parametrize("budget", [500, 5_000])
     def test_budget_fault_equivalence_spilled(self, budget):
         # rap at k=3 spills: the bail path must materialize the spill
-        # slots it promoted to Python locals before the fast path resumes.
+        # slots it promoted to Python locals before the slow tier resumes.
         prog = compile_source(BUDGET_SOURCE)
         image = allocated_image(prog, "rap", 3)
         fault = assert_tiers_agree(image, max_cycles=budget)
         assert fault is not None
         assert "cycle budget exceeded" in fault[0]
+
+
+def landing_image(faulting):
+    """One block that stores a spill slot, then a jump to a straight-line
+    segment with loads, copies and ``faulting`` partway through.
+
+    The segment starts after four executed instructions, so a bail there
+    carries pending cycles and a pending store out of the compiled frame.
+    """
+    slot = Symbol("f.t", "spill")
+    return single_image(
+        [
+            iloc.loadi(7, vreg(0)),
+            iloc.loadi(0, vreg(1)),
+            iloc.stm(slot, vreg(0)),
+            iloc.jmp("body"),
+            iloc.label("body"),
+            iloc.ldm(slot, vreg(3)),  # segment start: pc 5, cycle 5
+            iloc.copy(vreg(3), vreg(4)),
+            iloc.binary(Op.ADD, vreg(3), vreg(4), vreg(5)),
+            faulting,  # pc 8, cycle 8
+            iloc.binary(Op.ADD, vreg(2), vreg(0), vreg(6)),
+            Instr(Op.PRINT, srcs=[vreg(6)]),
+            Instr(Op.RET, srcs=[vreg(6)]),  # segment end: pc 11, cycle 11
+        ]
+    )
+
+
+#: Budgets that run out inside the segment: the budget trips at cycle
+#: ``budget + 1``, and the segment spans cycles 5..11.
+LANDING_BUDGETS = range(4, 11)
+
+
+class TestLandingPad:
+    """A bail lands on the slow tier, which reports whichever fault comes
+    first: the budget, or an earlier fault inside the same segment."""
+
+    @staticmethod
+    def expected(budget, fault):
+        if budget < 8:
+            # From the segment on, cycle c executes the instruction at pc c.
+            return ("cycle budget exceeded in f", "f", budget + 1, budget + 1)
+        return fault
+
+    @pytest.mark.parametrize("budget", LANDING_BUDGETS)
+    def test_division_by_zero_inside_segment(self, budget):
+        image = landing_image(iloc.binary(Op.DIV, vreg(5), vreg(1), vreg(2)))
+        fault = assert_tiers_agree(image, entry="f", max_cycles=budget)
+        assert fault == self.expected(budget, ("division by zero", "f", 8, 8))
+
+    @pytest.mark.parametrize("budget", LANDING_BUDGETS)
+    def test_uninitialized_read_inside_segment(self, budget):
+        image = landing_image(iloc.binary(Op.ADD, vreg(5), vreg(9), vreg(2)))
+        fault = assert_tiers_agree(image, entry="f", max_cycles=budget)
+        assert fault == self.expected(
+            budget, ("read of uninitialized register %v9 in f", "f", 8, 8)
+        )
+
+    @pytest.mark.parametrize("failing", ["main", "work", None])
+    def test_translation_failure_runs_on_slow_tier(self, monkeypatch, failing):
+        """``failing`` names the one function whose translation raises
+        (None: every function's), so compiled and slow frames mix."""
+        from repro.interp import pycompile
+
+        real = pycompile.compile_decoded
+
+        def flaky(image, decoded):
+            if failing in (None, decoded.name):
+                raise RuntimeError("translation failed")
+            return real(image, decoded)
+
+        slow_stats, _ = execute(
+            compile_source(BUDGET_SOURCE).reference_image(), "slow"
+        )
+        monkeypatch.setattr(pycompile, "compile_decoded", flaky)
+        image = compile_source(BUDGET_SOURCE).reference_image()
+        machine = Machine(image, tier="compiled")
+        machine.run("main")
+        assert machine.stats == slow_stats
+        for name, function_image in image.functions.items():
+            translated = failing not in (None, name)
+            assert bool(function_image._compiled) == translated
 
 
 class TestTierSelection:
@@ -310,9 +392,17 @@ class TestTierSelection:
         assert machine.interp_tier() == "compiled"
 
     def test_env_selects_tier(self, monkeypatch):
-        for tier in ("slow", "fast", "compiled"):
+        for tier in ("slow", "compiled"):
             monkeypatch.setenv("REPRO_INTERP", tier)
             assert Machine(self.source_image()).tier == tier
+
+    @pytest.mark.parametrize("stale", ["fast", "turbo"])
+    def test_env_rejects_unknown_tier(self, monkeypatch, stale):
+        # A leftover name of a removed tier must fail loudly, not quietly
+        # run the default tier while appearing to check another one.
+        monkeypatch.setenv("REPRO_INTERP", stale)
+        with pytest.raises(ValueError, match="unknown interpreter tier"):
+            Machine(self.source_image())
 
     def test_explicit_tier_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_INTERP", "slow")
@@ -343,13 +433,6 @@ class TestTierSelection:
         assert tracer.events  # the slow path actually recorded
         assert image.functions["main"]._compiled is None
         assert image.functions["main"]._decoded is None
-
-    def test_force_slow_flag_beats_compiled_default(self):
-        image = self.source_image()
-        machine = Machine(image, force_slow=True)
-        assert machine.tier == "slow"
-        machine.run("main")
-        assert image.functions["main"]._compiled is None
 
     def test_armed_fault_plan_demotes_compiled_env(self, monkeypatch):
         """The ISSUE regression: REPRO_INTERP=compiled with an armed
