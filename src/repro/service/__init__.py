@@ -12,15 +12,16 @@ instead — and, with the router, N of them behind one address:
   a repeat request skips parse -> sema -> pdg-build -> allocate
   entirely.  Misses are classified by the key component that changed
   (source vs config vs code churn) for the ``stats`` op.
-* :mod:`repro.service.server` — a JSON-over-TCP server (stdlib only)
-  whose workers reuse the resilient
+* :mod:`repro.service.server` — the compile engine and the JSON-lines
+  TCP front end (stdlib only) shared with the router; its workers
+  reuse the resilient
   :class:`~repro.resilience.pipeline.PassPipeline` and the allocator
   fallback ladder.  Admission control is a bounded earliest-deadline-
   first queue; a request's deadline also selects how ambitious an
   allocator rung to start from (tight deadlines go straight to linear
   scan, generous ones run full RAP).
-* :mod:`repro.service.workers` — the supervised **process** worker tier
-  (the ``serve`` default): crash-isolated child processes under a
+* :mod:`repro.service.workers` — the supervised worker processes:
+  crash-isolated children under a
   per-job watchdog, exponential respawn backoff, a restart-storm
   circuit breaker (``degraded`` health + rung demotion), and
   poison-pill quarantine of compile keys that kill workers.

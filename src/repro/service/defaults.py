@@ -32,17 +32,12 @@ ROUTER_PORT = 9362
 
 #: Bounded earliest-deadline-first admission queue depth.
 QUEUE_LIMIT = 32
-#: ``thread`` or ``process``; process is the crash-isolated supervised tier.
-WORKER_MODE = "process"
-#: Worker count for ``--worker-mode thread`` (process mode defaults to
-#: one worker per scheduler-visible core instead).
-THREAD_WORKERS = 2
 #: In-memory artifact budget (bytes): 64 MiB.
 CACHE_BYTES = 64 * 1024 * 1024
 #: Lock shards inside :class:`~repro.service.cache.ArtifactCache`.
 CACHE_SHARDS = 8
 
-# -- supervision (the process worker tier) -----------------------------------
+# -- supervision (the worker processes) --------------------------------------
 
 #: Per-job wall-clock watchdog before a hung child is SIGKILLed.
 JOB_TIMEOUT_S = 120.0

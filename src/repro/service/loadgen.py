@@ -566,8 +566,8 @@ def _drill_mix(programs: Sequence[str]) -> List[Tuple[str, str]]:
 
 
 def _spawn_backend(host: str, port: int) -> "subprocess.Popen":
-    """One ``repro serve`` daemon as a child process (thread workers:
-    the drill exercises replication, not crash isolation)."""
+    """One ``repro serve`` daemon with two worker processes, as a child
+    process."""
     import os
     import subprocess
     from pathlib import Path
@@ -585,7 +585,7 @@ def _spawn_backend(host: str, port: int) -> "subprocess.Popen":
         [
             sys.executable, "-m", "repro", "serve",
             "--host", host, "--port", str(port),
-            "--worker-mode", "thread", "--workers", "2",
+            "--workers", "2",
         ],
         env=env,
         stdout=subprocess.DEVNULL,
@@ -634,7 +634,8 @@ def run_rolling_restart(
     """
     import subprocess
 
-    from .router import RouterServer, RouterService
+    from .router import RouterService
+    from .server import JsonLinesServer
 
     if backends < 2:
         raise ValueError("the drill needs at least 2 backends")
@@ -726,7 +727,7 @@ def run_rolling_restart(
             timeout=60.0,
             replication=replication,
         )
-        server = RouterServer((host, 0), router)
+        server = JsonLinesServer((host, 0), router)
         router_port = server.server_address[1]
         server_thread = threading.Thread(
             target=server.serve_forever,

@@ -106,8 +106,6 @@ import argparse
 import bisect
 import hashlib
 import json
-import signal
-import socketserver
 import sys
 import threading
 import time
@@ -116,7 +114,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import defaults
 from .client import ServiceClient, ServiceError
-from .server import _error_payload
+from .server import JsonLinesServer, _error_payload, run_until_signalled
 
 #: Forwarding failures that mean "the backend did not answer" — only
 #: these trigger failover; everything else is a real answer.
@@ -422,10 +420,12 @@ class RouterService:
         )
         self._prober.start()
 
-    def stop(self) -> None:
+    def drain(self, timeout: float = 30.0) -> None:
+        """Stop the health prober; in-flight forwards finish on their
+        own handler threads."""
         self._stop.set()
         if self._prober is not None:
-            self._prober.join(self.probe_interval_s + 1.0)
+            self._prober.join(min(timeout, self.probe_interval_s + 1.0))
             self._prober = None
 
     # -- health probing -------------------------------------------------------
@@ -1012,50 +1012,8 @@ class RouterService:
 
 
 # ----------------------------------------------------------------------------
-# The TCP layer
+# The command line (the TCP front end is server.JsonLinesServer)
 # ----------------------------------------------------------------------------
-
-
-class _RouterHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # one connection, many JSON lines
-        router: RouterService = self.server.router  # type: ignore[attr-defined]
-        for line in self.rfile:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                request = json.loads(line.decode("utf-8"))
-            except ValueError as err:
-                response = {
-                    "ok": False,
-                    "error": _error_payload("request", f"bad json: {err}"),
-                }
-            else:
-                response = router.handle(request)
-            try:
-                self.wfile.write(
-                    json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
-                )
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                return
-
-
-class RouterServer(socketserver.ThreadingTCPServer):
-    """TCP front of a :class:`RouterService` — same threading shape as
-    :class:`~repro.service.server.CompileServer`."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int], router: RouterService):
-        super().__init__(address, _RouterHandler)
-        self.router = router
-        router.start()
-
-    def drain_and_shutdown(self) -> None:
-        self.router.stop()
-        self.shutdown()
 
 
 def build_router_parser() -> argparse.ArgumentParser:
@@ -1125,26 +1083,14 @@ def router_main(argv: Optional[Sequence[str]] = None) -> int:
         replication=args.replication,
         handoff_bytes=args.handoff_bytes,
     )
-    server = RouterServer((args.host, args.port), router)
+    server = JsonLinesServer((args.host, args.port), router)
     host, port = server.server_address[:2]
     print(
         f"repro router listening on {host}:{port} "
         f"({len(backends)} backends, {args.vnodes} vnodes each)",
         flush=True,
     )
-
-    def _drain(signum, frame):  # pragma: no cover - signal path
-        print("draining...", flush=True)
-        threading.Thread(target=server.drain_and_shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        server.server_close()
-    print("drained; bye", flush=True)
-    return 0
+    return run_until_signalled(server)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,8 +14,7 @@ hold open for many requests.  Operations:
     Cache counters, the server-lifetime per-stage telemetry aggregate
     (:class:`~repro.resilience.telemetry.MetricsCollector`), the
     service health state (``healthy`` / ``degraded`` / ``draining``),
-    and — under process workers — the supervisor's per-worker
-    restart/kill/crash accounting.
+    and the supervisor's per-worker restart/kill/crash accounting.
 ``{"op": "ping"}``
     Liveness.
 ``{"op": "cache-get", "key": ...}``
@@ -52,22 +51,19 @@ deaths) use the same payload shape with synthetic kinds ``admission`` /
 ``poison-pill`` (see docs/ROBUSTNESS.md for the full failure-mode
 matrix).
 
-Worker tiers
-------------
+Workers
+-------
 
-``worker_mode="thread"`` runs compiles on daemon threads inside the
-server process — cheap, but a hung compile wedges its queue slot for
-good and shares the GIL with every other request.
-``worker_mode="process"`` (the ``serve`` default) runs each worker as a
-supervised child **process** (:mod:`repro.service.workers`): a per-job
+Every cold compile runs in a supervised child **process**
+(:mod:`repro.service.workers`), one per core by default: a per-job
 wall-clock watchdog SIGKILLs a hung worker and answers the job with a
 typed ``worker-timeout`` error, a crashed worker (nonzero exit, killed
 by the OS) answers its job with ``worker-crash`` and is respawned under
 exponential backoff, and a restart storm flips the service ``degraded``
 — quarantining the offending compile key as a poison pill and demoting
-new work to cheaper ladder rungs — instead of crash-looping.  Both
-modes sit behind the same admission queue and artifact cache, and both
-answer every admitted request exactly once.
+new work to cheaper ladder rungs — instead of crash-looping.  The
+workers sit behind the admission queue and artifact cache, and every
+admitted request is answered exactly once.
 
 Admission and deadlines
 -----------------------
@@ -271,10 +267,10 @@ class DeadlineQueue:
 class PreparedJob:
     """A validated compile request, planned and ready for a worker.
 
-    Everything a worker (thread or child process) needs to run the cold
-    path, plus the parent-side bookkeeping (cache key, rung decision,
-    admission timestamp) used to assemble the response.  Frozen and
-    plain-data so it ships over a process pipe unchanged.
+    Everything a worker process needs to run the cold path, plus the
+    parent-side bookkeeping (cache key, rung decision, admission
+    timestamp) used to assemble the response.  Frozen and plain-data so
+    it ships over a process pipe unchanged.
     """
 
     key: str
@@ -317,11 +313,10 @@ def compile_cold(
 ) -> Dict[str, Any]:
     """Full parse -> ... -> allocate (ladder walk) [-> execute].
 
-    Shared by both worker tiers: thread workers call it in-process,
-    process workers call it inside the child
-    (:mod:`repro.service.workers`).  Returns the response body with the
-    serialized image under ``"_blob"``; raises :class:`StageError` when
-    every ladder rung below the starting one fails.
+    Runs inside a worker child (:mod:`repro.service.workers`).  Returns
+    the response body with the serialized image under ``"_blob"``;
+    raises :class:`StageError` when every ladder rung below the starting
+    one fails.
     """
     prog = pipeline.compile(
         spec["source"], filename=spec.get("filename") or "<request>"
@@ -380,14 +375,14 @@ def compile_cold(
 class CompileService:
     """The daemon's engine, socket-free (the TCP layer is below).
 
-    ``workers`` threads (``worker_mode="thread"``) or supervised child
-    processes (``worker_mode="process"``) pull from the deadline queue;
-    each owns a :class:`PassPipeline` (pipelines keep no cross-request
-    state beyond the config, but the per-worker instance keeps the
-    metrics swap race-free).  ``worker_delay_s`` injects a fixed per-job
-    stall — a chaos/load-testing knob used by the saturation tests and
-    soak runs, zero in production.  ``supervision`` tunes the process
-    tier's watchdog/backoff/circuit-breaker parameters
+    ``workers`` supervised child processes (default: one per core)
+    pull from the deadline queue; each owns a :class:`PassPipeline`
+    (pipelines keep no cross-request state beyond the config, but the
+    per-worker instance keeps the metrics swap race-free).
+    ``worker_delay_s`` injects a fixed per-job stall — a
+    chaos/load-testing knob used by the saturation tests and soak runs,
+    zero in production.  ``supervision`` tunes the workers'
+    watchdog/backoff/circuit-breaker parameters
     (:class:`repro.service.workers.Supervision`); ``chaos_enabled``
     makes worker processes honor the ``chaos`` request field
     (deliberate crash/hang probes — never enable outside a chaos run).
@@ -397,16 +392,13 @@ class CompileService:
         self,
         config: Optional[PipelineConfig] = None,
         cache: Optional[ArtifactCache] = None,
-        workers: int = defaults.THREAD_WORKERS,
+        workers: Optional[int] = None,
         queue_limit: int = defaults.QUEUE_LIMIT,
         rung_policy: Sequence[Tuple[float, str]] = DEFAULT_RUNG_POLICY,
         worker_delay_s: float = 0.0,
-        worker_mode: str = "thread",
         supervision: Optional["Supervision"] = None,
         chaos_enabled: bool = False,
     ):
-        if worker_mode not in ("thread", "process"):
-            raise ValueError(f"unknown worker_mode {worker_mode!r}")
         self.config = config or PipelineConfig()
         # `cache or ...` would discard a provided cache: an *empty*
         # ArtifactCache is falsy (it has __len__).
@@ -414,7 +406,6 @@ class CompileService:
         self.queue = DeadlineQueue(queue_limit)
         self.rung_policy = tuple(rung_policy)
         self.worker_delay_s = worker_delay_s
-        self.worker_mode = worker_mode
         self.chaos_enabled = chaos_enabled
         if supervision is None:
             from .workers import Supervision
@@ -424,7 +415,6 @@ class CompileService:
         self.metrics = MetricsCollector()
         self._metrics_lock = threading.Lock()
         self._counter_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
         self._supervisor = None
         self._stop = threading.Event()
         self._draining = threading.Event()
@@ -435,7 +425,11 @@ class CompileService:
         self._answered = 0
         self._cancelled = 0
         self._orphaned_skipped = 0
-        self._workers = workers
+        if workers is None:
+            from ..bench.parallel import default_jobs
+
+            workers = default_jobs()
+        self.workers = workers
         #: poison-pill bookkeeping: compile keys that killed or hung a
         #: worker, and the quarantine once a key strikes out.
         self._strikes: Dict[str, int] = {}
@@ -443,18 +437,6 @@ class CompileService:
         self._cache_gets = 0
         self._cache_puts = 0
         self._load_quarantine()
-        #: parent fds worker children must close at birth (the TCP
-        #: listener, registered by serve()) — see workers.py on why an
-        #: inherited listener copy is a real failure mode, not hygiene.
-        self._child_close_fds: set = set()
-
-    def close_fds_in_workers(self, *fds: int) -> None:
-        """Register parent fds (e.g. the server's listening socket) that
-        every process-tier worker child must close at birth.  No-op
-        under thread workers."""
-        self._child_close_fds.update(int(fd) for fd in fds)
-        if self._supervisor is not None:
-            self._supervisor.close_fds_in_children(*fds)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -462,33 +444,22 @@ class CompileService:
         if self._started:
             return
         self._started = True
-        if self.worker_mode == "process":
-            from .workers import ProcessWorkerSupervisor
+        from .workers import ProcessWorkerSupervisor
 
-            self._supervisor = ProcessWorkerSupervisor(
-                self,
-                workers=self._workers,
-                supervision=self.supervision,
-                chaos_enabled=self.chaos_enabled,
-            )
-            self._supervisor.close_fds_in_children(*self._child_close_fds)
-            self._supervisor.start()
-            return
-        for index in range(self._workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"compile-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        self._supervisor = ProcessWorkerSupervisor(
+            self,
+            workers=self.workers,
+            supervision=self.supervision,
+            chaos_enabled=self.chaos_enabled,
+        )
+        self._supervisor.start()
 
     def drain(self, timeout: float = 30.0) -> None:
         """Stop admitting, finish queued and in-flight work, stop workers.
 
-        Under process workers this also reaps every child: in-flight
-        compiles run to completion (or their watchdog), queued jobs are
-        answered, then each worker process is shut down and joined — no
-        zombies survive a drain.
+        In-flight compiles run to completion (or their watchdog), queued
+        jobs are answered, then each worker process is shut down and
+        joined — no zombies survive a drain.
         """
         self._draining.set()
         deadline = time.monotonic() + timeout
@@ -498,9 +469,6 @@ class CompileService:
         if self._supervisor is not None:
             self._supervisor.stop(deadline)
             self._supervisor = None
-        for thread in self._threads:
-            thread.join(max(0.0, deadline - time.monotonic()) + 1.0)
-        self._threads = []
         self._started = False
 
     @property
@@ -511,9 +479,8 @@ class CompileService:
     def health(self) -> str:
         """``healthy`` / ``degraded`` / ``draining``.
 
-        ``degraded`` is the process tier's restart-storm circuit
-        breaker: too many worker deaths inside the storm window.  It
-        clears itself once the window passes without a new death — the
+        ``degraded`` is the supervisor's restart-storm circuit breaker:
+        too many worker deaths inside the storm window.  It clears itself once the window passes without a new death — the
         "backoff recovery" the chaos harness asserts.
         """
         if self._draining.is_set():
@@ -597,7 +564,7 @@ class CompileService:
 
     # -- request entry points -------------------------------------------------
 
-    def submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Admission + synchronous wait: the handler-thread entry point.
 
         ``stats`` and ``ping`` answer inline (they must work even when
@@ -755,47 +722,7 @@ class CompileService:
             )
         return {"ok": True, "op": "cache-keys", "keys": listing}
 
-    # -- workers --------------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        pipeline = PassPipeline(self.config)
-        while not self._stop.is_set():
-            job = self.queue.take(timeout=0.05)
-            if job is None:
-                continue
-            if not job.claim():
-                # Tombstoned by a timed-out submitter: skip without
-                # running a single compiler stage.
-                self.count("orphaned_skipped")
-                continue
-            if self.worker_delay_s:
-                time.sleep(self.worker_delay_s)
-            if job.deadline_at < time.monotonic():
-                self.count("expired")
-                job.finish(
-                    {
-                        "ok": False,
-                        "error": _error_payload(
-                            "deadline", "deadline expired while queued"
-                        ),
-                    }
-                )
-                self.count("answered")
-                continue
-            try:
-                job.finish(self._process(pipeline, job.request))
-            except Exception as err:  # the worker must never die
-                job.finish(
-                    {
-                        "ok": False,
-                        "error": _error_payload(
-                            "request", f"{type(err).__name__}: {err}"
-                        ),
-                    }
-                )
-            self.count("answered")
-
-    # -- request planning (shared by both worker tiers) ------------------------
+    # -- request planning -----------------------------------------------------
 
     def prepare(
         self, request: Dict[str, Any], demote: bool = False
@@ -972,32 +899,9 @@ class CompileService:
 
     def merge_stage_metrics(self, stages: Dict[str, Any]) -> None:
         """Fold one job's stage metrics into the server-lifetime
-        aggregate (called by both worker tiers)."""
+        aggregate."""
         with self._metrics_lock:
             self.metrics.merge(stages)
-
-    def _process(
-        self, pipeline: PassPipeline, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Thread-tier request body: plan, then cold-compile in-process."""
-        response, prepared = self.prepare(request)
-        if response is not None:
-            return response
-        assert prepared is not None
-        collector = MetricsCollector()
-        pipeline.metrics = collector
-        try:
-            body = compile_cold(pipeline, prepared.spec())
-        except StageError as err:
-            return self.assemble_error_response(
-                prepared, err.freeze(), sorted(collector.stages)
-            )
-        finally:
-            pipeline.metrics = None
-            self.merge_stage_metrics(collector.stages)
-        return self.assemble_cold_response(
-            prepared, body, collector.stages, telemetry=collector.as_dict()
-        )
 
     # -- stats ----------------------------------------------------------------
 
@@ -1027,8 +931,7 @@ class CompileService:
             "cache_gets": self._cache_gets,
             "cache_puts": self._cache_puts,
             "queue_depth": len(self.queue),
-            "workers": self._workers,
-            "worker_mode": self.worker_mode,
+            "workers": self.workers,
             "health": self.health,
             "draining": self.draining,
             "poison_strikes": strikes,
@@ -1050,7 +953,7 @@ def _sha256_hex(blob: bytes) -> str:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # one connection, many JSON lines
-        service: CompileService = self.server.service  # type: ignore[attr-defined]
+        engine = self.server.engine  # type: ignore[attr-defined]
         for line in self.rfile:
             line = line.strip()
             if not line:
@@ -1063,7 +966,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     "error": _error_payload("request", f"bad json: {err}"),
                 }
             else:
-                response = service.submit(request)
+                response = engine.handle(request)
             try:
                 self.wfile.write(
                     json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
@@ -1073,22 +976,45 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
 
 
-class CompileServer(socketserver.ThreadingTCPServer):
-    """TCP front of a :class:`CompileService`.  One handler thread per
-    connection; handlers block in ``service.submit`` while the worker
-    pool does the work, so slow compiles never block the accept loop."""
+class JsonLinesServer(socketserver.ThreadingTCPServer):
+    """TCP front of an engine — a :class:`CompileService` or a
+    :class:`~repro.service.router.RouterService`.  The engine answers
+    each request object with ``handle(request)`` and is started here and
+    stopped by ``drain(timeout)``.  One handler thread per connection;
+    handlers block in ``handle`` while the engine works, so slow
+    requests never block the accept loop."""
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address: Tuple[str, int], service: CompileService):
+    def __init__(self, address: Tuple[str, int], engine: Any):
         super().__init__(address, _Handler)
-        self.service = service
-        service.start()
+        self.engine = engine
+        engine.start()
 
     def drain_and_shutdown(self, timeout: float = 30.0) -> None:
-        self.service.drain(timeout)
+        self.engine.drain(timeout)
         self.shutdown()
+
+
+def run_until_signalled(server: JsonLinesServer) -> int:
+    """Serve until SIGTERM/SIGINT, then drain the engine and close the
+    listener — the tail of both ``repro serve`` and ``repro router``."""
+
+    def _drain(signum, frame):  # pragma: no cover - signal path
+        print("draining...", flush=True)
+        threading.Thread(
+            target=server.drain_and_shutdown, daemon=True
+        ).start()
+
+    signal.signal(signal.SIGTERM, _drain)
+    signal.signal(signal.SIGINT, _drain)
+    try:
+        server.serve_forever(poll_interval=0.2)
+    finally:
+        server.server_close()
+    print("drained; bye", flush=True)
+    return 0
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -1106,17 +1032,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=defaults.PORT)
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker count (default: one per core for --worker-mode "
-             f"process, {defaults.THREAD_WORKERS} for threads)",
+        help="worker processes (default: one per core)",
     )
     parser.add_argument(
         "--queue-limit", type=int, default=defaults.QUEUE_LIMIT
-    )
-    parser.add_argument(
-        "--worker-mode", choices=("thread", "process"),
-        default=defaults.WORKER_MODE,
-        help=f"{defaults.WORKER_MODE} (default): crash-isolated "
-             "supervised children; thread: in-process daemon threads",
     )
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
@@ -1162,14 +1081,6 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
         cache_kwargs["shards"] = args.cache_shards
     if args.persist_dir is not None:
         cache_kwargs["persist_dir"] = args.persist_dir
-    workers = args.workers
-    if workers is None:
-        if args.worker_mode == "process":
-            from ..bench.parallel import default_jobs
-
-            workers = default_jobs()
-        else:
-            workers = defaults.THREAD_WORKERS
     from .workers import Supervision
 
     supervision = Supervision(
@@ -1184,34 +1095,18 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
     )
     service = CompileService(
         cache=ArtifactCache(**cache_kwargs),
-        workers=workers,
+        workers=args.workers,
         queue_limit=args.queue_limit,
-        worker_mode=args.worker_mode,
         supervision=supervision,
         chaos_enabled=args.chaos,
     )
-    server = CompileServer((args.host, args.port), service)
-    service.close_fds_in_workers(server.fileno())
+    server = JsonLinesServer((args.host, args.port), service)
     host, port = server.server_address[:2]
     print(f"repro service listening on {host}:{port} "
-          f"({workers} {args.worker_mode} workers, "
+          f"({service.workers} process workers, "
           f"queue {args.queue_limit}"
           f"{', CHAOS ENABLED' if args.chaos else ''})", flush=True)
-
-    def _drain(signum, frame):  # pragma: no cover - signal path
-        print("draining...", flush=True)
-        threading.Thread(
-            target=server.drain_and_shutdown, daemon=True
-        ).start()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        server.server_close()
-    print("drained; bye", flush=True)
-    return 0
+    return run_until_signalled(server)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,7 @@
-"""Supervised process-pool worker tier for the compile service.
+"""Supervised process-pool workers for the compile service.
 
 :class:`ProcessWorkerSupervisor` runs each compile worker as a child
-**process** instead of a daemon thread, which buys two things the thread
-tier cannot provide:
+**process**, which buys two things in-process workers cannot provide:
 
 * **crash isolation** — an allocator bug, an OOM kill, or a deliberate
   chaos probe takes down one child, not the daemon.  The job that was
@@ -82,8 +81,8 @@ _HANG_NAP_S = 0.5
 
 @dataclass(frozen=True)
 class Supervision:
-    """Watchdog / backoff / circuit-breaker parameters for the process
-    worker tier.  The defaults suit a production daemon; tests and the
+    """Watchdog / backoff / circuit-breaker parameters for the worker
+    processes.  The defaults suit a production daemon; tests and the
     chaos harness shrink them to keep runs fast."""
 
     #: Wall-clock budget for one job inside a child before the watchdog
@@ -108,7 +107,7 @@ class Supervision:
 
 
 def _worker_child_main(
-    conn, config: PipelineConfig, chaos_enabled: bool, close_fds=()
+    conn, config: PipelineConfig, chaos_enabled: bool
 ) -> None:
     """Child body: receive job specs, compile cold, send results.
 
@@ -116,23 +115,22 @@ def _worker_child_main(
     closes (parent died), or the watchdog SIGKILLs us.  Every result is
     plain picklable data; pipeline failures cross as frozen
     ``StageError`` payloads, other exceptions as ``request``-kind
-    payloads — exactly what the thread tier produces, so responses are
-    mode-independent.
+    payloads.
     """
     # Fork copies every parent fd into the child: our own pipe's
-    # *parent* end, sibling slots' pipe ends, and the server's listening
-    # socket.  Holding them is not harmless hygiene debt — a child that
-    # keeps its own parent-end open can never see EOF when the daemon is
-    # killed, so it blocks in recv() forever, and its inherited listener
-    # copy keeps the dead daemon's port accepting connections nobody
-    # will ever serve (clients hang instead of getting ECONNREFUSED).
-    # The spawner passes the current set; close them before anything
-    # else.
-    for fd in close_fds:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
+    # *parent* end, sibling slots' pipe ends, client connections, and
+    # the listening socket of every server in the process.  A child that
+    # keeps its own parent end open never sees EOF when the daemon is
+    # killed, and an inherited listener keeps a closed or dead server's
+    # port accepting connections nobody will serve (clients hang instead
+    # of getting ECONNREFUSED).  So close every inherited fd except
+    # stdio and our own pipe end, first thing.  That includes
+    # multiprocessing's exit-sentinel pipe, so the parent's join() on a
+    # live child would wait in waitpid(); the supervisor only joins
+    # children it has told to exit or has killed.
+    keep = conn.fileno()
+    os.closerange(3, keep)
+    os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
     # The parent's SIGTERM/SIGINT handlers (the serve() drain path) are
     # inherited across fork; a signal aimed at the process group must
     # not make children run the parent's drain logic.
@@ -164,7 +162,7 @@ def _worker_child_main(
             result = {"status": "ok", "body": body}
         except StageError as err:
             result = {"status": "error", "error": err.freeze()}
-        except Exception as err:  # parity with the thread tier's catch-all
+        except Exception as err:  # a non-pipeline bug still gets an answer
             result = {
                 "status": "error",
                 "error": _error_payload(
@@ -226,12 +224,7 @@ class _WorkerSlot:
         parent_conn, child_conn = self.supervisor.ctx.Pipe(duplex=True)
         process = self.supervisor.ctx.Process(
             target=_worker_child_main,
-            args=(
-                child_conn,
-                service.config,
-                service.chaos_enabled,
-                self.supervisor.child_close_fds(parent_conn),
-            ),
+            args=(child_conn, service.config, service.chaos_enabled),
             name=f"compile-worker-proc-{self.index}",
             daemon=True,
         )
@@ -481,30 +474,6 @@ class ProcessWorkerSupervisor:
         self._failures: Deque[float] = deque()
         self._failure_kinds: Dict[str, int] = {}
         self._failure_lock = threading.Lock()
-        self._external_child_fds: set = set()
-
-    # -- child fd hygiene ----------------------------------------------------
-
-    def close_fds_in_children(self, *fds: int) -> None:
-        """Register parent fds (e.g. the server's listening socket) that
-        every future child must close at birth.  Children forked before
-        a registration keep their copies — register before traffic."""
-        self._external_child_fds.update(int(fd) for fd in fds)
-
-    def child_close_fds(self, own_parent_conn) -> List[int]:
-        """The fd list a child being spawned right now must close: the
-        registered external fds, its own pipe's parent end, and every
-        sibling slot's live parent end.  A racing sibling close is
-        benign — the child closes only its inherited *copies*."""
-        fds = set(self._external_child_fds)
-        for conn in [own_parent_conn] + [slot.conn for slot in self._slots]:
-            if conn is None:
-                continue
-            try:
-                fds.add(conn.fileno())
-            except (OSError, ValueError):
-                pass
-        return sorted(fds)
 
     # -- lifecycle -----------------------------------------------------------
 

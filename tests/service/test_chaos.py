@@ -17,7 +17,7 @@ import pytest
 from repro.service.cache import ArtifactCache
 from repro.service.client import ServiceError, connect_with_retry
 from repro.service.loadgen import default_mix, run_loadgen
-from repro.service.server import CompileServer, CompileService
+from repro.service.server import CompileService, JsonLinesServer
 from repro.service.workers import Supervision
 
 #: Bench programs only — the corpus would make chaos runs slow.
@@ -25,7 +25,7 @@ MIX = default_mix(("sieve", "hanoi"), corpus=False)
 
 
 def start_server(service):
-    server = CompileServer(("127.0.0.1", 0), service)
+    server = JsonLinesServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, server.server_address[1]
@@ -34,8 +34,8 @@ def start_server(service):
 class TestChaosLoadgen:
     def test_chaos_run_is_fully_answered_and_deterministic(self):
         # Reference: the same request stream against a chaos-free
-        # thread-tier server, for the byte-identity comparison.
-        reference_service = CompileService(workers=2, worker_mode="thread")
+        # server, for the byte-identity comparison.
+        reference_service = CompileService(workers=2)
         server, port = start_server(reference_service)
         try:
             reference = run_loadgen(
@@ -46,7 +46,7 @@ class TestChaosLoadgen:
             server.server_close()
         assert reference.errors == 0 and reference.mismatches == 0
 
-        # Chaos: process tier with a tight watchdog, probes interleaved.
+        # Chaos: a tight watchdog, probes interleaved.
         supervision = Supervision(
             job_timeout_s=1.5,
             backoff_base_s=0.01,
@@ -57,7 +57,6 @@ class TestChaosLoadgen:
         )
         service = CompileService(
             workers=2,
-            worker_mode="process",
             supervision=supervision,
             chaos_enabled=True,
         )
@@ -118,7 +117,6 @@ class TestChaosLoadgen:
     def test_chaos_probes_do_not_poison_the_normal_mix(self):
         service = CompileService(
             workers=1,
-            worker_mode="process",
             supervision=Supervision(
                 job_timeout_s=1.5,
                 backoff_base_s=0.01,
@@ -166,7 +164,6 @@ class TestSigtermDrain:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", str(port),
-                "--worker-mode", "process",
                 "--workers", "1",
                 "--job-timeout", "2",
                 "--chaos",

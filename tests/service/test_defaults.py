@@ -8,6 +8,7 @@ drifting silently in the docs.
 
 import inspect
 
+from repro.bench.parallel import default_jobs
 from repro.service import defaults
 from repro.service.client import (
     ServiceClient,
@@ -44,7 +45,6 @@ class TestServeParser:
         assert parser.get_default("host") == defaults.HOST
         assert parser.get_default("port") == defaults.PORT
         assert parser.get_default("queue_limit") == defaults.QUEUE_LIMIT
-        assert parser.get_default("worker_mode") == defaults.WORKER_MODE
         # None-defaulted flags resolve at runtime; the *resolved* values
         # live in Supervision / ArtifactCache, audited below.
         assert parser.get_default("job_timeout") is None
@@ -57,7 +57,6 @@ class TestServeParser:
         assert f"default: {defaults.STORM_WINDOW_S:.0f}" in text
         assert f"default: {defaults.CACHE_BYTES // (1024 * 1024)} MiB" in text
         assert f"default: {defaults.CACHE_SHARDS}" in text
-        assert defaults.WORKER_MODE in text
 
 
 class TestSupervision:
@@ -83,8 +82,28 @@ class TestServerPolicy:
 
     def test_service_signature(self):
         sig = _signature_defaults(CompileService.__init__)
-        assert sig["workers"] == defaults.THREAD_WORKERS
         assert sig["queue_limit"] == defaults.QUEUE_LIMIT
+
+    def test_service_and_serve_resolve_the_same_worker_count(
+        self, monkeypatch
+    ):
+        # serve hands an unset --workers to CompileService, whose own
+        # default is one worker per core.  Capture the service serve
+        # builds instead of binding a port and starting its workers.
+        from repro.service import server as server_mod
+
+        built = []
+
+        class _Unbound:
+            server_address = ("127.0.0.1", 0)
+
+            def __init__(self, address, engine):
+                built.append(engine)
+
+        monkeypatch.setattr(server_mod, "JsonLinesServer", _Unbound)
+        monkeypatch.setattr(server_mod, "run_until_signalled", lambda _: 0)
+        assert server_mod.serve([]) == 0
+        assert built[0].workers == CompileService().workers == default_jobs()
 
 
 class TestClient:

@@ -12,7 +12,7 @@ from repro.service.loadgen import (
     run_loadgen,
     run_saturation,
 )
-from repro.service.server import CompileServer, CompileService
+from repro.service.server import CompileService, JsonLinesServer
 
 TINY_MIX = [
     ("tiny-a", "void main() { print(1 + 2); }"),
@@ -23,7 +23,7 @@ TINY_MIX = [
 @pytest.fixture
 def server():
     service = CompileService(workers=2)
-    server = CompileServer(("127.0.0.1", 0), service)
+    server = JsonLinesServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server

@@ -20,7 +20,7 @@ from repro.service.router import (
     RouterService,
     affinity_key,
 )
-from repro.service.server import CompileServer, CompileService
+from repro.service.server import CompileService, JsonLinesServer
 
 SOURCES = [
     f"int main() {{ int x; x = {n}; print(x + {n}); return 0; }}\n"
@@ -35,24 +35,28 @@ def _compile_request(source, tag="t"):
 
 def _start_backend(port=0, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("worker_mode", "thread")
     service = CompileService(**kwargs)
-    server = CompileServer(("127.0.0.1", port), service)
+    server = JsonLinesServer(("127.0.0.1", port), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, server.server_address[1]
 
 
 def _stop_backend(server):
-    server.service.drain(timeout=5.0)
+    server.engine.drain(timeout=5.0)
     server.shutdown()
     server.server_close()
 
 
 def _kill_backend(server):
-    """Hard stop: no drain, sockets torn down — the failover scenario."""
+    """Hard stop, the failover scenario: the listener closes first, then
+    the workers go — the end state of a SIGKILLed daemon, whose worker
+    children see EOF on their pipes and exit.  Established connections
+    stay open (only a dead process resets them) and get ``admission``
+    errors from the drained service."""
     server.shutdown()
     server.server_close()
+    server.engine.drain(timeout=5.0)
 
 
 def _make_router(servers, replication=2, **kwargs):
@@ -75,7 +79,7 @@ def trio():
     servers = [_start_backend()[0] for _ in range(3)]
     router = _make_router(servers, replication=2)
     yield router, servers
-    router.stop()
+    router.drain()
     for server in servers:
         try:
             _stop_backend(server)
@@ -92,7 +96,7 @@ def _service_at(servers, name):
     port = int(name.rsplit(":", 1)[1])
     for server in servers:
         if server.server_address[1] == port:
-            return server.service
+            return server.engine
     raise AssertionError(f"no server at {name}")
 
 
@@ -105,25 +109,25 @@ class TestCacheOps:
     def test_put_get_roundtrip(self):
         server, port = _start_backend()
         try:
-            service = server.service
-            cold = service.submit(_compile_request(SOURCES[0]))
+            service = server.engine
+            cold = service.handle(_compile_request(SOURCES[0]))
             assert cold["ok"] and cold["cache"] == "miss"
             key = cold["key"]
-            got = service.submit({"op": "cache-get", "key": key})
+            got = service.handle({"op": "cache-get", "key": key})
             assert got["ok"] and got["op"] == "cache-get"
             assert got["meta"]["image_sha256"] == cold["image_sha256"]
 
             # Round-trip into a second, empty backend.
             other, _ = _start_backend()
             try:
-                put = other.service.submit(
+                put = other.engine.handle(
                     {"op": "cache-put", "key": key,
                      "blob": got["blob"], "meta": got["meta"]}
                 )
                 assert put["ok"] and put["op"] == "cache-put"
                 # The receiving backend now answers the compile warm,
                 # byte-identical.
-                warm = other.service.submit(_compile_request(SOURCES[0]))
+                warm = other.engine.handle(_compile_request(SOURCES[0]))
                 assert warm["ok"] and warm["cache"] == "hit"
                 assert warm["image_sha256"] == cold["image_sha256"]
                 assert warm["output"] == cold["output"]
@@ -135,7 +139,7 @@ class TestCacheOps:
     def test_get_miss_is_typed_replica_miss(self):
         server, _ = _start_backend()
         try:
-            miss = server.service.submit(
+            miss = server.engine.handle(
                 {"op": "cache-get", "key": "f" * 64}
             )
             assert not miss["ok"]
@@ -150,7 +154,7 @@ class TestCacheOps:
     def test_put_refuses_checksum_mismatch(self):
         server, _ = _start_backend()
         try:
-            refused = server.service.submit(
+            refused = server.engine.handle(
                 {"op": "cache-put", "key": "a" * 64,
                  "blob": '{"forged": true}',
                  "meta": {"image_sha256": "0" * 64}}
@@ -158,7 +162,7 @@ class TestCacheOps:
             assert not refused["ok"]
             assert refused["error"]["kind"] == "request"
             # Nothing was installed.
-            still = server.service.submit({"op": "cache-get", "key": "a" * 64})
+            still = server.engine.handle({"op": "cache-get", "key": "a" * 64})
             assert not still["ok"]
         finally:
             _stop_backend(server)
@@ -169,7 +173,7 @@ class TestCacheOps:
         cold = router.handle(dict(request))
         assert cold["ok"]
         service = _service_at(servers, cold["backend"])
-        listing = service.submit({"op": "cache-keys"})
+        listing = service.handle({"op": "cache-keys"})
         assert listing["ok"]
         keys = {item["key"]: item for item in listing["keys"]}
         assert cold["key"] in keys
@@ -181,19 +185,19 @@ class TestCacheOps:
     def test_warm_only_probe(self):
         server, _ = _start_backend()
         try:
-            service = server.service
+            service = server.engine
             request = _compile_request(SOURCES[1])
             probe = dict(request, warm_only=True)
-            cold = service.submit(dict(probe))
+            cold = service.handle(dict(probe))
             assert not cold["ok"]
             assert cold["error"]["kind"] == "replica-miss"
             assert cold["cache"] == "miss"
             assert isinstance(cold["key"], str) and cold["key"]
             # The probe did not compile anything.
-            assert service.submit({"op": "stats"})["cache"]["entries"] == 0
+            assert service.handle({"op": "stats"})["cache"]["entries"] == 0
             # Warm it, and the same probe answers as a plain hit.
-            assert service.submit(dict(request))["ok"]
-            warm = service.submit(dict(probe))
+            assert service.handle(dict(request))["ok"]
+            warm = service.handle(dict(probe))
             assert warm["ok"] and warm["cache"] == "hit"
         finally:
             _stop_backend(server)
@@ -226,7 +230,7 @@ class TestReplication:
         assert cold["backend"] == replicas[0]
         # Both replica-set members hold the artifact, byte-identical.
         for name in replicas:
-            got = _service_at(servers, name).submit(
+            got = _service_at(servers, name).handle(
                 {"op": "cache-get", "key": cold["key"]}
             )
             assert got["ok"], f"{name} does not hold the artifact"
@@ -309,13 +313,13 @@ class TestReplication:
             assert router.probe(router.backends[replica]) is True
             snapshot = router.handoff.snapshot()
             assert snapshot["flushed"] == 1 and snapshot["pending"] == 0
-            got = servers[replica_index].service.submit(
+            got = servers[replica_index].engine.handle(
                 {"op": "cache-get", "key": cold["key"]}
             )
             assert got["ok"], "flushed hint did not land"
             assert got["meta"]["image_sha256"] == cold["image_sha256"]
         finally:
-            router.stop()
+            router.drain()
             for server in servers:
                 try:
                     _stop_backend(server)
@@ -429,7 +433,7 @@ class TestMembership:
                 assert refused["error"]["kind"] == "request"
                 assert "last" in refused["error"]["message"]
         finally:
-            router.stop()
+            router.drain()
             _stop_backend(server)
 
     def test_generation_fencing(self, trio):
@@ -542,7 +546,7 @@ class TestFullRingOutage:
             assert recovered["cache"] == "hit"
             assert recovered["image_sha256"] == cold["image_sha256"]
         finally:
-            router.stop()
+            router.drain()
             try:
                 _stop_backend(server)
             except Exception:

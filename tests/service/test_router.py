@@ -1,6 +1,7 @@
 """The consistent-hash router: ring math, forwarding, failover under a
 backend kill, warm-affinity byte identity, and stats aggregation."""
 
+import socket
 import threading
 
 import pytest
@@ -10,12 +11,11 @@ from repro.service.loadgen import run_loadgen
 from repro.service.router import (
     Backend,
     HashRing,
-    RouterServer,
     RouterService,
     affinity_key,
     _parse_backend,
 )
-from repro.service.server import CompileServer, CompileService
+from repro.service.server import CompileService, JsonLinesServer
 
 SOURCES = [
     f"int main() {{ int x; x = {n}; print(x + {n}); return 0; }}\n"
@@ -25,24 +25,28 @@ SOURCES = [
 
 def _start_backend(**kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("worker_mode", "thread")
     service = CompileService(**kwargs)
-    server = CompileServer(("127.0.0.1", 0), service)
+    server = JsonLinesServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, server.server_address[1]
 
 
 def _stop_backend(server):
-    server.service.drain(timeout=5.0)
+    server.engine.drain(timeout=5.0)
     server.shutdown()
     server.server_close()
 
 
 def _kill_backend(server):
-    """Hard stop: no drain, sockets torn down — the failover scenario."""
+    """Hard stop, the failover scenario: the listener closes first, then
+    the workers go — the end state of a SIGKILLed daemon, whose worker
+    children see EOF on their pipes and exit.  Established connections
+    stay open (only a dead process resets them) and get ``admission``
+    errors from the drained service."""
     server.shutdown()
     server.server_close()
+    server.engine.drain(timeout=5.0)
 
 
 @pytest.fixture
@@ -53,7 +57,7 @@ def pair():
     backends = [("127.0.0.1", port) for _, port in servers]
     router = RouterService(backends, probe_interval_s=0.1, probe_failures=2)
     yield router, [server for server, _ in servers]
-    router.stop()
+    router.drain()
     for server, _ in servers:
         try:
             _stop_backend(server)
@@ -235,7 +239,7 @@ class TestFailover:
             assert response["error"]["kind"] == "no-backend"
             assert "no-backend" in RETRYABLE_KINDS  # clients may retry it
         finally:
-            router.stop()
+            router.drain()
 
     def test_probe_marks_dead_backend_unhealthy_then_skips_it(self, pair):
         router, servers = pair
@@ -272,9 +276,27 @@ class TestFailover:
             assert backend.healthy is False
             assert router.probe(backend) is True
             assert backend.healthy is True
-            router.stop()
+            router.drain()
         finally:
             _stop_backend(server)
+
+
+    def test_closed_backend_refuses_after_a_sibling_forks(self):
+        # Regression: B's worker child, forked for a cold compile,
+        # inherited A's listening socket, so A's port kept accepting
+        # connections — never answered — after A was closed.
+        (a, port_a), (b, port_b) = _start_backend(), _start_backend()
+        try:
+            with ServiceClient("127.0.0.1", port_b) as client:
+                assert client.compile(SOURCES[0])["cache"] == "miss"
+            _stop_backend(a)
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(
+                    ("127.0.0.1", port_a), timeout=2.0
+                ).close()
+        finally:
+            for server in (a, b):
+                _stop_backend(server)
 
 
 class TestEndToEndTCP:
@@ -286,7 +308,7 @@ class TestEndToEndTCP:
         ]
         router = RouterService(backends, probe_interval_s=0.1,
                                probe_failures=2)
-        router_server = RouterServer(("127.0.0.1", 0), router)
+        router_server = JsonLinesServer(("127.0.0.1", 0), router)
         thread = threading.Thread(
             target=router_server.serve_forever, daemon=True
         )
@@ -335,8 +357,7 @@ class TestEndToEndTCP:
             finally:
                 _stop_backend(solo_server)
         finally:
-            router_server.router.stop()
-            router_server.shutdown()
+            router_server.drain_and_shutdown()
             router_server.server_close()
             for server in servers[1:]:
                 try:
@@ -355,8 +376,7 @@ class TestEndToEndTCP:
                 stats = client.stats()
                 assert stats["router"]["forwarded"] >= 1
         finally:
-            router_server.router.stop()
-            router_server.shutdown()
+            router_server.drain_and_shutdown()
             router_server.server_close()
             for server in servers:
                 _stop_backend(server)

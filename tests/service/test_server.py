@@ -1,6 +1,7 @@
 """The compile daemon: cache semantics, deadline policy, admission
 control, error transport, drain, and the TCP layer."""
 
+import socket
 import threading
 import time
 
@@ -16,9 +17,9 @@ from repro.service.cache import ArtifactCache
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import (
     DEFAULT_RUNG_POLICY,
-    CompileServer,
     CompileService,
     DeadlineQueue,
+    JsonLinesServer,
     _Job,
     rung_for_deadline,
 )
@@ -105,11 +106,11 @@ class TestDeadlineQueue:
 
 class TestColdAndWarm:
     def test_warm_request_skips_every_compiler_stage(self, service):
-        cold = service.submit(compile_request())
+        cold = service.handle(compile_request())
         assert cold["ok"] and cold["cache"] == "miss"
         assert "parse" in cold["stages_run"]
         assert "allocate" in cold["stages_run"]
-        warm = service.submit(compile_request())
+        warm = service.handle(compile_request())
         assert warm["ok"] and warm["cache"] == "hit"
         # The acceptance criterion: byte-identical artifact, zero
         # compiler stages executed (telemetry stage counters are the
@@ -122,14 +123,14 @@ class TestColdAndWarm:
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_server_lifetime_metrics_freeze_when_warm(self, service):
-        service.submit(compile_request())
+        service.handle(compile_request())
         allocate_calls = service.metrics.stages["allocate"].calls
         for _ in range(3):
-            service.submit(compile_request())
+            service.handle(compile_request())
         assert service.metrics.stages["allocate"].calls == allocate_calls
 
     def test_cached_blob_is_a_runnable_image(self, service):
-        response = service.submit(compile_request())
+        response = service.handle(compile_request())
         entry = service.cache.get(response["key"])
         image = loads_image(entry.blob)
         stats = run_program(image)
@@ -137,14 +138,14 @@ class TestColdAndWarm:
         assert stats.total.cycles == response["cycles"]
 
     def test_different_k_is_a_different_artifact(self, service):
-        a = service.submit(compile_request(k=3))
-        b = service.submit(compile_request(k=9))
+        a = service.handle(compile_request(k=3))
+        b = service.handle(compile_request(k=9))
         assert a["key"] != b["key"]
         assert a["output"] == b["output"]  # same program semantics
 
     def test_schedule_flag_is_part_of_the_key(self, service):
-        plain = service.submit(compile_request())
-        scheduled = service.submit(compile_request(schedule=True))
+        plain = service.handle(compile_request())
+        scheduled = service.handle(compile_request(schedule=True))
         assert plain["key"] != scheduled["key"]
         assert scheduled["cache"] == "miss"
         assert plain["output"] == scheduled["output"]
@@ -163,7 +164,7 @@ class TestColdAndWarm:
         )
         first.start()
         try:
-            cold = first.submit(compile_request())
+            cold = first.handle(compile_request())
             assert cold["cache"] == "miss"
         finally:
             first.drain(timeout=5.0)
@@ -173,7 +174,7 @@ class TestColdAndWarm:
         )
         second.start()
         try:
-            warm = second.submit(compile_request())
+            warm = second.handle(compile_request())
             assert warm["cache"] == "hit"
             assert warm["stages_run"] == []
             assert warm["image_sha256"] == cold["image_sha256"]
@@ -183,25 +184,25 @@ class TestColdAndWarm:
             second.drain(timeout=5.0)
 
     def test_deadline_rung_reported(self, service):
-        tight = service.submit(compile_request(deadline_ms=100))
+        tight = service.handle(compile_request(deadline_ms=100))
         assert tight["ok"]
         assert tight["rung_start"] == "linearscan"
         assert tight["allocator_used"] == "linearscan"
-        generous = service.submit(compile_request(deadline_ms=60_000))
+        generous = service.handle(compile_request(deadline_ms=60_000))
         assert generous["rung_start"] == "rap"
 
 
 class TestErrorTransport:
     def test_parse_error_travels_frozen(self, service):
-        response = service.submit(compile_request(source="void main() { int ; }"))
+        response = service.handle(compile_request(source="void main() { int ; }"))
         assert not response["ok"]
         error = StageError.thaw(response["error"])
         assert error.stage == "parse"
 
     def test_malformed_requests_are_soft_errors(self, service):
-        assert not service.submit({"op": "nope"})["ok"]
-        assert not service.submit(compile_request(source=""))["ok"]
-        response = service.submit(compile_request(allocator="wat"))
+        assert not service.handle({"op": "nope"})["ok"]
+        assert not service.handle(compile_request(source=""))["ok"]
+        response = service.handle(compile_request(allocator="wat"))
         assert not response["ok"]
         assert "wat" in response["error"]["message"]
 
@@ -226,7 +227,7 @@ class TestErrorTransport:
 
 def _submit_async(service, request, results, name):
     def run():
-        response = service.submit(request)
+        response = service.handle(request)
         results.append((name, response))
 
     thread = threading.Thread(target=run, daemon=True)
@@ -250,7 +251,7 @@ class TestAdmissionControl:
             ]
             time.sleep(0.1)  # one in flight, two queued: saturated
             started = time.perf_counter()
-            rejected = service.submit(compile_request(TRIVIAL, k=9))
+            rejected = service.handle(compile_request(TRIVIAL, k=9))
             elapsed = time.perf_counter() - started
             assert not rejected["ok"]
             assert rejected["error"]["kind"] == "admission"
@@ -316,7 +317,7 @@ class TestAdmissionControl:
                 service, compile_request(TRIVIAL, k=3), results, "blocker"
             )
             time.sleep(0.05)  # blocker in flight for ~200ms more
-            doomed = service.submit(compile_request(TRIVIAL, k=9, deadline_ms=40))
+            doomed = service.handle(compile_request(TRIVIAL, k=9, deadline_ms=40))
             assert not doomed["ok"]
             assert doomed["error"]["kind"] == "deadline"
             blocker.join(timeout=10)
@@ -372,7 +373,7 @@ class TestOrphanedJobs:
                 service, compile_request(TRIVIAL, k=3), results, "blocker"
             )
             time.sleep(0.05)  # blocker claimed and stalled in its delay
-            doomed = service.submit(compile_request(TRIVIAL, k=9, deadline_ms=50))
+            doomed = service.handle(compile_request(TRIVIAL, k=9, deadline_ms=50))
             assert not doomed["ok"]
             assert doomed["error"]["kind"] == "deadline"
             assert service._cancelled == 1
@@ -383,7 +384,7 @@ class TestOrphanedJobs:
             while service._orphaned_skipped == 0 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert service._orphaned_skipped == 1
-            stats = service.submit({"op": "stats"})
+            stats = service.handle({"op": "stats"})
             # Conservation: every admitted request is accounted exactly
             # once across answered/cancelled.
             assert (
@@ -411,7 +412,7 @@ class TestDrain:
             thread.join(timeout=10)
         assert len(results) == 3
         assert all(response["ok"] for _, response in results)
-        late = service.submit(compile_request(TRIVIAL))
+        late = service.handle(compile_request(TRIVIAL))
         assert not late["ok"]
         assert late["error"]["kind"] == "admission"
         assert "drain" in late["error"]["message"]
@@ -419,9 +420,9 @@ class TestDrain:
 
 class TestStats:
     def test_stats_surface_cache_and_stage_aggregates(self, service):
-        service.submit(compile_request())
-        service.submit(compile_request())
-        stats = service.submit({"op": "stats"})
+        service.handle(compile_request())
+        service.handle(compile_request())
+        stats = service.handle({"op": "stats"})
         assert stats["ok"]
         assert stats["cache"]["hits"] == 1
         assert stats["cache"]["misses"] == 1
@@ -432,17 +433,17 @@ class TestStats:
         assert stats["draining"] is False
 
     def test_stats_surface_interp_tier_census(self, service):
-        response = service.submit(compile_request())
+        response = service.handle(compile_request())
         assert response["ok"]
         # Executing cold compiles report which interpreter tier ran.
         assert response["interp_tier"] == "compiled"
-        stats = service.submit({"op": "stats"})
+        stats = service.handle({"op": "stats"})
         assert stats["interp_tiers"].get("compiled", 0) >= 1
         assert stats["stages"]["execute"]["tiers"]["compiled"] >= 1
 
     def test_cache_hit_replays_stored_tier(self, service):
-        cold = service.submit(compile_request())
-        warm = service.submit(compile_request())
+        cold = service.handle(compile_request())
+        warm = service.handle(compile_request())
         assert warm["cache"] == "hit"
         assert warm.get("interp_tier") == cold["interp_tier"]
 
@@ -451,7 +452,7 @@ class TestTCPLayer:
     @pytest.fixture
     def server(self):
         service = CompileService(workers=2, cache=ArtifactCache())
-        server = CompileServer(("127.0.0.1", 0), service)
+        server = JsonLinesServer(("127.0.0.1", 0), service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         yield server
@@ -486,3 +487,15 @@ class TestTCPLayer:
         with self._client(server) as two:
             response = two.compile(TRIVIAL, k=4)
         assert response["cache"] == "hit"
+
+    def test_closed_server_refuses_connections(self, server):
+        # Regression: a worker child forked for the cold compile used to
+        # keep a copy of the listening socket, so the port still accepted
+        # connections — never answered — after server_close().
+        with self._client(server) as client:
+            assert client.compile(TRIVIAL, k=6)["cache"] == "miss"
+        host, port = server.server_address[:2]
+        server.shutdown()
+        server.server_close()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, port), timeout=2.0).close()

@@ -1,4 +1,4 @@
-"""The supervised process worker tier: crash isolation, the per-job
+"""The supervised worker processes: crash isolation, the per-job
 watchdog, respawn backoff, the restart-storm circuit breaker, poison-pill
 quarantine, zombie-free drain, and no-orphans-after-SIGKILL."""
 
@@ -13,7 +13,8 @@ import time
 import pytest
 
 from repro.resilience.errors import StageError
-from repro.service.server import CompileService
+from repro.resilience.pipeline import PassPipeline
+from repro.service.server import CompileService, compile_cold
 from repro.service.workers import Supervision
 
 TRIVIAL = "void main() { print(7); }"
@@ -37,7 +38,6 @@ def compile_request(source=TRIVIAL, **overrides):
 def make_service(**overrides):
     kwargs = dict(
         workers=1,
-        worker_mode="process",
         chaos_enabled=True,
         supervision=Supervision(
             job_timeout_s=2.0,
@@ -67,7 +67,7 @@ class TestProcessColdAndWarm:
     def test_cold_compile_crosses_the_process_boundary(self):
         service = make_service()
         try:
-            cold = service.submit(compile_request(SIEVE_LIKE))
+            cold = service.handle(compile_request(SIEVE_LIKE))
             assert cold["ok"] and cold["cache"] == "miss"
             assert "parse" in cold["stages_run"]
             assert cold["output"]  # executed in the child, shipped back
@@ -79,9 +79,9 @@ class TestProcessColdAndWarm:
     def test_warm_hit_is_answered_parent_side(self):
         service = make_service()
         try:
-            cold = service.submit(compile_request(SIEVE_LIKE))
+            cold = service.handle(compile_request(SIEVE_LIKE))
             jobs_before = service._supervisor.stats()["workers"][0]["jobs_done"]
-            warm = service.submit(compile_request(SIEVE_LIKE))
+            warm = service.handle(compile_request(SIEVE_LIKE))
             assert warm["cache"] == "hit"
             assert warm["stages_run"] == []
             assert warm["image_sha256"] == cold["image_sha256"]
@@ -91,25 +91,27 @@ class TestProcessColdAndWarm:
         finally:
             service.drain(timeout=5.0)
 
-    def test_thread_and_process_tiers_agree_byte_for_byte(self):
-        proc = make_service()
-        threaded = CompileService(workers=1, worker_mode="thread")
-        threaded.start()
+    def test_worker_artifact_matches_an_in_process_compile(self):
+        # The pipe changes no bytes: the worker's artifact is the one an
+        # in-process compile_cold of the same plan produces.
+        service = make_service()
         try:
-            a = proc.submit(compile_request(SIEVE_LIKE, k=6))
-            b = threaded.submit(compile_request(SIEVE_LIKE, k=6))
-            assert a["ok"] and b["ok"]
-            assert a["image_sha256"] == b["image_sha256"]
-            assert a["output"] == b["output"]
-            assert a["key"] == b["key"]
+            request = compile_request(SIEVE_LIKE, k=6)
+            response, prepared = service.prepare(request)
+            assert response is None and prepared is not None
+            local = compile_cold(PassPipeline(service.config), prepared.spec())
+            remote = service.handle(request)
+            assert remote["ok"] and remote["cache"] == "miss"
+            assert remote["key"] == prepared.key
+            assert remote["image_sha256"] == local["image_sha256"]
+            assert remote["output"] == local["output"]
         finally:
-            proc.drain(timeout=5.0)
-            threaded.drain(timeout=5.0)
+            service.drain(timeout=5.0)
 
     def test_stage_error_thaws_across_the_pipe(self):
         service = make_service()
         try:
-            response = service.submit(
+            response = service.handle(
                 compile_request("void main() { int ; }")
             )
             assert not response["ok"]
@@ -121,8 +123,8 @@ class TestProcessColdAndWarm:
     def test_malformed_requests_answered_without_a_worker(self):
         service = make_service()
         try:
-            assert not service.submit({"op": "nope"})["ok"]
-            response = service.submit(compile_request(allocator="wat"))
+            assert not service.handle({"op": "nope"})["ok"]
+            response = service.handle(compile_request(allocator="wat"))
             assert not response["ok"]
             assert "wat" in response["error"]["message"]
         finally:
@@ -133,14 +135,14 @@ class TestCrashIsolation:
     def test_crash_is_answered_typed_and_worker_respawns(self):
         service = make_service()
         try:
-            crashed = service.submit(
+            crashed = service.handle(
                 compile_request(TRIVIAL + "// crash", chaos="crash")
             )
             assert not crashed["ok"]
             assert crashed["error"]["kind"] == "worker-crash"
             assert "exit" in crashed["error"]["message"]
             # The daemon survived and the respawned child still compiles.
-            after = service.submit(compile_request(SIEVE_LIKE))
+            after = service.handle(compile_request(SIEVE_LIKE))
             assert after["ok"]
             sup = service._supervisor.stats()
             assert sup["crashes"] == 1
@@ -151,7 +153,7 @@ class TestCrashIsolation:
     def test_chaos_directive_ignored_when_not_enabled(self):
         service = make_service(chaos_enabled=False)
         try:
-            response = service.submit(
+            response = service.handle(
                 compile_request(TRIVIAL, chaos="crash")
             )
             assert response["ok"]  # compiled normally; probe inert
@@ -163,7 +165,7 @@ class TestCrashIsolation:
         service = make_service()
         try:
             started = time.monotonic()
-            hung = service.submit(
+            hung = service.handle(
                 compile_request(TRIVIAL + "// hang", chaos="hang")
             )
             elapsed = time.monotonic() - started
@@ -174,7 +176,7 @@ class TestCrashIsolation:
             assert elapsed < 2.0 + 3.0
             assert service._supervisor.stats()["watchdog_fires"] == 1
             # Service still alive afterwards.
-            assert service.submit(compile_request(SIEVE_LIKE))["ok"]
+            assert service.handle(compile_request(SIEVE_LIKE))["ok"]
         finally:
             service.drain(timeout=5.0)
 
@@ -185,18 +187,18 @@ class TestPoisonPill:
         try:
             probe = compile_request(TRIVIAL + "// poison", chaos="crash")
             for _ in range(2):  # poison_threshold strikes
-                response = service.submit(probe)
+                response = service.handle(probe)
                 assert response["error"]["kind"] == "worker-crash"
             crashes_before = service._supervisor.stats()["crashes"]
-            quarantined = service.submit(probe)
+            quarantined = service.handle(probe)
             assert quarantined["error"]["kind"] == "poison-pill"
             assert "quarantined" in quarantined["error"]["message"]
             # Answered pre-dispatch: no worker died for it.
             assert service._supervisor.stats()["crashes"] == crashes_before
-            stats = service.submit({"op": "stats"})
+            stats = service.handle({"op": "stats"})
             assert len(stats["quarantined"]) == 1
             # Other keys are unaffected.
-            assert service.submit(compile_request(SIEVE_LIKE))["ok"]
+            assert service.handle(compile_request(SIEVE_LIKE))["ok"]
         finally:
             service.drain(timeout=5.0)
 
@@ -209,8 +211,8 @@ class TestPoisonPill:
         )
         try:
             for _ in range(2):  # poison_threshold strikes
-                assert service.submit(probe)["error"]["kind"] == "worker-crash"
-            assert service.submit(probe)["error"]["kind"] == "poison-pill"
+                assert service.handle(probe)["error"]["kind"] == "worker-crash"
+            assert service.handle(probe)["error"]["kind"] == "poison-pill"
         finally:
             service.drain(timeout=5.0)
         assert os.path.exists(os.path.join(str(tmp_path), "quarantine.json"))
@@ -220,13 +222,13 @@ class TestPoisonPill:
         reborn = make_service(cache=ArtifactCache(persist_dir=str(tmp_path)))
         try:
             crashes_before = reborn._supervisor.stats()["crashes"]
-            refused = reborn.submit(probe)
+            refused = reborn.handle(probe)
             assert refused["error"]["kind"] == "poison-pill"
             assert reborn._supervisor.stats()["crashes"] == crashes_before
-            stats = reborn.submit({"op": "stats"})
+            stats = reborn.handle({"op": "stats"})
             assert len(stats["quarantined"]) == 1
             # Healthy keys still compile after the reload.
-            assert reborn.submit(compile_request(SIEVE_LIKE))["ok"]
+            assert reborn.handle(compile_request(SIEVE_LIKE))["ok"]
         finally:
             reborn.drain(timeout=5.0)
 
@@ -247,18 +249,18 @@ class TestRestartStorm:
             # Two distinct crashing keys inside the window trip the
             # breaker without quarantining either key.
             for tag in ("a", "b"):
-                service.submit(
+                service.handle(
                     compile_request(TRIVIAL + f"// storm {tag}", chaos="crash")
                 )
             assert service.health == "degraded"
             # New work is demoted to the cheap rung while degraded.
-            demoted = service.submit(compile_request(SIEVE_LIKE))
+            demoted = service.handle(compile_request(SIEVE_LIKE))
             assert demoted["ok"]
             assert demoted["rung_start"] == "linearscan"
             assert "degraded" in demoted["rung_reason"]
             # The window passes quietly: health self-recovers.
             assert wait_until(lambda: service.health == "healthy", timeout=3.0)
-            full = service.submit(compile_request(SIEVE_LIKE))
+            full = service.handle(compile_request(SIEVE_LIKE))
             assert full["ok"] and full["rung_start"] == "rap"
             # Demotion changed the key: no stale collision between the
             # degraded and full-rung artifacts.
@@ -276,7 +278,7 @@ class TestProcessDrain:
 
             def submit(request, name):
                 def run():
-                    results.append((name, service.submit(request)))
+                    results.append((name, service.handle(request)))
 
                 thread = threading.Thread(target=run, daemon=True)
                 thread.start()
@@ -307,8 +309,8 @@ class TestProcessDrain:
         supervisor = service._supervisor
         try:
             # Leave a crashed-and-respawned child running, then drain.
-            service.submit(compile_request(TRIVIAL + "// pre", chaos="crash"))
-            assert service.submit(compile_request(SIEVE_LIKE))["ok"]
+            service.handle(compile_request(TRIVIAL + "// pre", chaos="crash"))
+            assert service.handle(compile_request(SIEVE_LIKE))["ok"]
         finally:
             service.drain(timeout=10.0)
         assert supervisor.reaped()
@@ -316,16 +318,15 @@ class TestProcessDrain:
     def test_accounting_conserves_every_admitted_request(self):
         service = make_service()
         try:
-            service.submit(compile_request(SIEVE_LIKE))
-            service.submit(compile_request(SIEVE_LIKE))  # warm
-            service.submit(compile_request(TRIVIAL + "// c", chaos="crash"))
-            service.submit(compile_request("void main() { int ; }"))
-            stats = service.submit({"op": "stats"})
+            service.handle(compile_request(SIEVE_LIKE))
+            service.handle(compile_request(SIEVE_LIKE))  # warm
+            service.handle(compile_request(TRIVIAL + "// c", chaos="crash"))
+            service.handle(compile_request("void main() { int ; }"))
+            stats = service.handle({"op": "stats"})
             assert (
                 stats["requests"]
                 == stats["answered"] + stats["cancelled"] + stats["rejected"]
             )
-            assert stats["worker_mode"] == "process"
             assert "supervisor" in stats
         finally:
             service.drain(timeout=5.0)
@@ -390,7 +391,6 @@ class TestDaemonKillOrphans:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", str(port),
-                "--worker-mode", "process",
                 "--workers", "2",
             ],
             stdout=subprocess.PIPE,
