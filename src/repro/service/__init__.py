@@ -7,11 +7,11 @@ instead — and, with the router, N of them behind one address:
 
 * :mod:`repro.service.cache` — a content-addressed artifact store.
   Results are keyed on ``sha256(source ‖ allocator ‖ k ‖ schedule ‖
-  pipeline-config ‖ code-fingerprint)``, held across per-shard-locked
-  LRU shards under a byte budget, and optionally persisted to disk, so
-  a repeat request skips parse -> sema -> pdg-build -> allocate
-  entirely.  Misses are classified by the key component that changed
-  (source vs config vs code churn) for the ``stats`` op.
+  pipeline-config ‖ code-fingerprint)``, held in one LRU under a byte
+  budget, and optionally persisted to disk, so a repeat request skips
+  parse -> sema -> pdg-build -> allocate entirely.  Misses are
+  classified by the key component that changed (source vs config vs
+  code churn) for the ``stats`` op.
 * :mod:`repro.service.server` — the compile engine and the JSON-lines
   TCP front end (stdlib only) shared with the router; its workers
   reuse the resilient

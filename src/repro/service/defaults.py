@@ -34,8 +34,6 @@ ROUTER_PORT = 9362
 QUEUE_LIMIT = 32
 #: In-memory artifact budget (bytes): 64 MiB.
 CACHE_BYTES = 64 * 1024 * 1024
-#: Lock shards inside :class:`~repro.service.cache.ArtifactCache`.
-CACHE_SHARDS = 8
 
 # -- supervision (the worker processes) --------------------------------------
 

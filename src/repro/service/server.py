@@ -1059,11 +1059,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
              f"{defaults.CACHE_BYTES // (1024 * 1024)} MiB)",
     )
     parser.add_argument(
-        "--cache-shards", type=int, default=None, metavar="N",
-        help="artifact-cache lock shards (default: "
-             f"{defaults.CACHE_SHARDS})",
-    )
-    parser.add_argument(
         "--persist-dir", default=None, metavar="DIR",
         help="also persist artifacts to DIR (survives restarts)",
     )
@@ -1077,8 +1072,6 @@ def serve(argv: Optional[Sequence[str]] = None) -> int:
     cache_kwargs: Dict[str, Any] = {}
     if args.cache_bytes is not None:
         cache_kwargs["max_bytes"] = args.cache_bytes
-    if args.cache_shards is not None:
-        cache_kwargs["shards"] = args.cache_shards
     if args.persist_dir is not None:
         cache_kwargs["persist_dir"] = args.persist_dir
     from .workers import Supervision

@@ -1,5 +1,6 @@
-"""The content-addressed artifact cache: keys, LRU accounting, disk tier,
-shard routing, miss-kind classification, and the 8-thread hammer."""
+"""The content-addressed artifact cache: keys, LRU accounting over the
+whole byte budget, disk tier, miss-kind classification, disk I/O off the
+lock, and the 8-thread hammer."""
 
 import hashlib
 import json
@@ -8,6 +9,7 @@ import threading
 
 from repro.interp.serialize import FORMAT_VERSION
 from repro.resilience.pipeline import PipelineConfig
+from repro.service import cache as cache_module
 from repro.service.cache import (
     ArtifactCache,
     CacheEntry,
@@ -150,10 +152,8 @@ class TestLRUAccounting:
         assert stats["bytes"] == entry.size
 
     def test_eviction_is_least_recently_used(self):
-        # shards=1 pins the historical single-LRU-domain semantics this
-        # test is about; multi-shard behavior is covered separately.
         entry_size = CacheEntry("x", _blob("x", 100), {}).size
-        cache = ArtifactCache(max_bytes=3 * entry_size, shards=1)
+        cache = ArtifactCache(max_bytes=3 * entry_size)
         for tag in ("a", "b", "c"):
             cache.put(tag, _blob(tag, 100), {})
         cache.get("a")  # refresh a: b is now the coldest
@@ -173,10 +173,31 @@ class TestLRUAccounting:
         assert cache.total_bytes == CacheEntry("a", _blob("a", 200), {}).size
 
     def test_oversized_entry_not_held_in_memory(self):
-        cache = ArtifactCache(max_bytes=50, shards=1)
+        cache = ArtifactCache(max_bytes=50)
         cache.put("big", _blob("big", 500), {})
         assert len(cache) == 0
         assert cache.total_bytes == 0
+
+    def test_quarter_budget_entry_is_kept(self):
+        # The oversized rule is measured against the whole budget, not
+        # a slice of it: an entry a quarter of max_bytes stays in memory.
+        cache = ArtifactCache(max_bytes=8_000)
+        entry = cache.put("q", _blob("q", 1_998), {})
+        assert entry.size == cache.max_bytes // 4
+        assert cache.peek("q") is entry
+        assert cache.total_bytes == entry.size
+
+    def test_shared_key_prefix_causes_no_eviction_under_budget(self):
+        # Keys agreeing in their leading hex digits share one LRU with
+        # every other key: 12 of them at ~11 KB total fit an 80 KB
+        # budget without a single eviction.
+        cache = ArtifactCache(max_bytes=80_000)
+        keys = ["00000000" + _hexkey(str(i))[8:] for i in range(12)]
+        for key in keys:
+            cache.put(key, _blob(key, 900), {})
+        assert cache.evictions == 0
+        assert sorted(cache.keys()) == sorted(keys)
+        assert 10_000 < cache.total_bytes < cache.max_bytes // 4
 
 
 class TestDiskTier:
@@ -196,9 +217,7 @@ class TestDiskTier:
 
     def test_memory_eviction_keeps_the_disk_copy(self, tmp_path):
         entry_size = CacheEntry("x", _blob("x", 100), {}).size
-        cache = ArtifactCache(
-            max_bytes=2 * entry_size, persist_dir=str(tmp_path), shards=1
-        )
+        cache = ArtifactCache(max_bytes=2 * entry_size, persist_dir=str(tmp_path))
         for tag in ("a", "b", "c"):
             cache.put(tag, _blob(tag, 100), {})
         assert cache.evictions >= 1
@@ -219,21 +238,18 @@ class TestDiskTier:
             handle.write("{nope")
         assert cache.get("k3") is None
 
-    def test_disk_tier_shared_across_shard_counts(self, tmp_path):
-        # The disk directory is one flat namespace; a cache restarted
-        # with a different shard count still finds every artifact.
-        writer = ArtifactCache(
-            max_bytes=10_000, persist_dir=str(tmp_path), shards=8
-        )
+    def test_reopen_same_directory_serves_every_key(self, tmp_path):
+        # A cache reopened over the same directory finds every artifact
+        # the first one wrote, real-shaped keys included.
+        writer = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         keys = [cache_key(f"prog {i}", "rap", 5) for i in range(12)]
         for i, key in enumerate(keys):
             writer.put(key, _blob(f"p{i}"), {"i": i})
-        reader = ArtifactCache(
-            max_bytes=10_000, persist_dir=str(tmp_path), shards=3
-        )
+        reader = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         for i, key in enumerate(keys):
             entry = reader.get(key)
             assert entry is not None and entry.blob == _blob(f"p{i}")
+        assert reader.disk_hits == len(keys)
 
 
 def _hexkey(tag: str) -> str:
@@ -256,12 +272,10 @@ class TestIntegrity:
             handle.write(bytes([byte[0] ^ 0x01]))
 
     def test_bit_flip_reads_as_corrupt_miss(self, tmp_path):
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         cache.put(_hexkey("k1"), _blob(_hexkey("k1")), {"output": [1]})
         self._flip_one_byte(os.path.join(str(tmp_path), _hexkey("k1") + ".json"))
-        reloaded = ArtifactCache(
-            max_bytes=10_000, persist_dir=str(tmp_path), shards=1
-        )
+        reloaded = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         # The startup scrub already classified and deleted the file...
         assert reloaded.stats()["scrub"] == {
             "scanned": 1, "ok": 0, "stale": 0, "corrupt": 1,
@@ -271,11 +285,11 @@ class TestIntegrity:
         assert reloaded.get(_hexkey("k1")) is None
 
     def test_bit_flip_without_scrub_is_classified_corrupt(self, tmp_path):
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
         cache.put(_hexkey("k1"), _blob(_hexkey("k1")), {"output": [1]})
         # Evict the memory copy so the read must go to disk.
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         self._flip_one_byte(path)
         assert cache.get(_hexkey("k1")) is None
         stats = cache.stats()
@@ -284,13 +298,13 @@ class TestIntegrity:
         assert stats["corrupt"] == 1
 
     def test_truncated_file_is_corrupt(self, tmp_path):
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         path = os.path.join(str(tmp_path), _hexkey("k1") + ".json")
         cache.put(_hexkey("k1"), _blob(_hexkey("k1")), {"output": [1]})
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(size // 2)
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         # Scrub deleted the torn file; nothing is served from it.
         assert cache.stats()["scrub"]["corrupt"] == 1
         assert cache.get(_hexkey("k1")) is None
@@ -316,7 +330,7 @@ class TestIntegrity:
     def test_legacy_unchecksummed_file_reads_as_stale(self, tmp_path):
         # Pre-checksum files (no sha256 header) are stale, not corrupt:
         # they were written by an older tier, not damaged in place.
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         body = json.dumps({"version": FORMAT_VERSION, "tag": "legacy"})
         with open(
             os.path.join(str(tmp_path), _hexkey("k9") + ".json"), "w"
@@ -326,54 +340,12 @@ class TestIntegrity:
         assert cache.stats()["miss_kinds"]["corrupt"] == 0
 
     def test_memory_tier_unaffected_by_disk_damage(self, tmp_path):
-        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path), shards=1)
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
         cache.put(_hexkey("k1"), _blob(_hexkey("k1")), {"output": [1]})
         self._flip_one_byte(os.path.join(str(tmp_path), _hexkey("k1") + ".json"))
         # Memory copy still valid: damage on disk must not poison it.
         entry = cache.get(_hexkey("k1"))
         assert entry is not None and entry.blob == _blob(_hexkey("k1"))
-
-
-class TestSharding:
-    def test_routing_is_deterministic_and_in_range(self):
-        cache = ArtifactCache(max_bytes=10_000, shards=8)
-        keys = [cache_key(f"prog {i}", "rap", 5) for i in range(50)]
-        for key in keys:
-            idx = cache.shard_of(key)
-            assert 0 <= idx < 8
-            assert cache.shard_of(key) == idx  # pure function
-        # Real sha256 keys spread over more than one shard.
-        assert len({cache.shard_of(key) for key in keys}) > 1
-
-    def test_non_hex_keys_route_without_error(self):
-        cache = ArtifactCache(max_bytes=10_000, shards=8)
-        for key in ("a", "k1", "t0.r0", "absent", ""):
-            assert 0 <= cache.shard_of(key) < 8
-        cache.put("a", _blob("a"), {})
-        assert cache.get("a") is not None
-
-    def test_budget_divides_across_shards(self):
-        cache = ArtifactCache(max_bytes=8_000, shards=8)
-        assert all(
-            snap["max_bytes"] == 1_000 for snap in cache.stats()["shards"]
-        )
-        assert cache.stats()["shard_count"] == 8
-
-    def test_shards_must_be_positive(self):
-        try:
-            ArtifactCache(shards=0)
-        except ValueError:
-            pass
-        else:  # pragma: no cover - only on failure
-            raise AssertionError("shards=0 accepted")
-
-    def test_keys_spans_all_shards(self):
-        cache = ArtifactCache(max_bytes=1_000_000, shards=4)
-        keys = {cache_key(f"prog {i}", "rap", 5) for i in range(20)}
-        for key in keys:
-            cache.put(key, _blob(key[:8]), {})
-        assert set(cache.keys()) == keys
-        assert len(cache) == len(keys)
 
 
 class TestMissKinds:
@@ -431,8 +403,9 @@ class TestMissKinds:
 
 
 class TestConcurrency:
-    """Satellite: hammer the cache from 8 threads; no torn reads, exact
-    per-shard byte accounting, counter conservation across shards."""
+    """Hammer the cache from 8 threads (no torn reads, exact byte
+    accounting, counter conservation), and keep disk writes from
+    blocking memory hits."""
 
     THREADS = 8
     ROUNDS = 60
@@ -477,23 +450,21 @@ class TestConcurrency:
         assert errors == []
         stats = cache.stats()
         # Counter conservation: every get was exactly a hit or a miss,
-        # and the aggregate equals the sum over shards.
+        # and every miss was classified exactly once.
         gets = 2 * self.THREADS * self.ROUNDS
         assert stats["hits"] + stats["misses"] == gets
         assert stats["hits"] > 0 and stats["misses"] > 0
-        assert sum(s["hits"] for s in stats["shards"]) == stats["hits"]
-        assert sum(s["misses"] for s in stats["shards"]) == stats["misses"]
-        assert sum(s["bytes"] for s in stats["shards"]) == stats["bytes"]
+        assert sum(stats["miss_kinds"].values()) == stats["misses"]
+        assert stats["entries"] == len(cache.keys())
         # Byte accounting is exact: the tracked total equals the sum of
         # the live entries' sizes (entry size is a pure function of the
-        # key here), and every shard respects its own budget.
+        # key here), and the whole cache respects its budget.
         live = sum(
             CacheEntry(key, _blob(key, 200), {"t": 0}).size
             for key in cache.keys()
         )
-        assert cache.total_bytes == live
-        for snap in stats["shards"]:
-            assert snap["bytes"] <= snap["max_bytes"]
+        assert cache.total_bytes == live == stats["bytes"]
+        assert stats["bytes"] <= stats["max_bytes"] == cache.max_bytes
         assert stats["evictions"] > 0
         # Deterministic responses: a surviving key still returns its
         # exact original bytes.
@@ -501,3 +472,40 @@ class TestConcurrency:
             entry = cache.get(key)
             if entry is not None:  # may race with nothing here, but be safe
                 assert entry.blob == _blob(key, 200)
+
+    def test_memory_hit_answered_while_a_put_stalls_on_disk(
+        self, tmp_path, monkeypatch
+    ):
+        # A cold put of key A blocks in its disk write; a memory hit on
+        # key B (same leading hex digits) must not wait for it.
+        key_a = "ab" * 32
+        key_b = "ab" * 4 + "cd" * 28
+        cache = ArtifactCache(max_bytes=10_000, persist_dir=str(tmp_path))
+        cache.put(key_b, _blob("b"), {})
+        writing, release = threading.Event(), threading.Event()
+
+        def stalling_open(path, mode="r", *args, **kwargs):
+            if key_a in str(path) and "w" in mode:
+                writing.set()
+                release.wait(10.0)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "open", stalling_open, raising=False)
+        writer = threading.Thread(
+            target=cache.put, args=(key_a, _blob("a"), {}), daemon=True
+        )
+        writer.start()
+        answered = []
+        reader = threading.Thread(
+            target=lambda: answered.append(cache.get(key_b)), daemon=True
+        )
+        try:
+            assert writing.wait(5.0)
+            reader.start()
+            reader.join(2.0)
+            assert answered and answered[0].blob == _blob("b")
+        finally:
+            release.set()
+            writer.join(5.0)
+            reader.join(5.0)
+        assert cache.get(key_a).blob == _blob("a")

@@ -243,13 +243,25 @@ class TestAdmissionControl:
         service.start()
         try:
             results = []
-            threads = [
-                _submit_async(
+
+            def submit(i):
+                return _submit_async(
                     service, compile_request(TRIVIAL, k=3 + i), results, f"j{i}"
                 )
-                for i in range(3)
-            ]
-            time.sleep(0.1)  # one in flight, two queued: saturated
+
+            def wait_for(predicate):
+                deadline = time.monotonic() + 5.0
+                while not predicate() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert predicate()
+
+            # One in flight, two queued: saturated.  Reach that state by
+            # waiting on it, not on a fixed sleep: j0 must be claimed
+            # before j1 and j2 arrive, or j2 finds the queue full.
+            threads = [submit(0)]
+            wait_for(lambda: service.queue._seq == 1 and not len(service.queue))
+            threads += [submit(1), submit(2)]
+            wait_for(lambda: len(service.queue) == 2)
             started = time.perf_counter()
             rejected = service.handle(compile_request(TRIVIAL, k=9))
             elapsed = time.perf_counter() - started
