@@ -1,115 +1,113 @@
-"""Reaching definitions for a single register.
+"""Reaching definitions for every register of one function body.
 
 RAP's spill-code insertion (§3.1.4 of the paper) must place stores after
 definitions *outside* the spilled region that feed loads inside it, and
 loads before uses *outside* the region whose definitions were renamed
-inside it.  That requires ud/du chains for the one register being
-spilled; this module computes them cheaply per register instead of a full
-all-registers bit-vector analysis.
+inside it.  That requires ud/du chains for the register being spilled;
+the PDG's flow-dependence edges and the SSA construction validator need
+the same facts for every register.
 
-Function parameters are modelled as defined by a virtual *entry
-definition* (:data:`ENTRY_DEF`), so a spilled parameter is recognized as
-needing a store at function entry.
+One forward fixpoint answers them all.  A definition site is an
+instruction position (an instruction defines at most its ``dst``), and
+block gen/kill and in/out sets are Python-int bitsets over positions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Union
+from typing import Dict, List
 
 from ..ir.iloc import Instr, Reg
 from .graph import CFG
 
-#: Sentinel def site: the register's value on function entry (parameters).
-ENTRY_DEF = "<entry>"
-
-DefSite = Union[Instr, str]
-
 
 class RegChains:
-    """ud/du chains of one register over one linear function body."""
+    """ud/du chains of one register; uses and defs in code order."""
 
     def __init__(self, reg: Reg):
         self.reg = reg
-        #: use instruction -> set of reaching def sites
-        self.ud: Dict[int, Set[DefSite]] = {}
-        self._use_instrs: Dict[int, Instr] = {}
-        #: def instruction id -> set of reached use instructions
-        self.du: Dict[int, Set[int]] = {}
-        self._def_instrs: Dict[int, Instr] = {}
-        self.entry_reaches_uses: Set[int] = set()
+        self._uses: List[Instr] = []
+        self._defs: List[Instr] = []
+        #: id(use) -> reaching defs; id(def) -> reached uses
+        self._ud: Dict[int, List[Instr]] = {}
+        self._du: Dict[int, List[Instr]] = {}
 
-    def defs_reaching(self, use: Instr) -> Set[DefSite]:
-        return self.ud.get(id(use), set())
+    def defs_reaching(self, use: Instr) -> List[Instr]:
+        return self._ud.get(id(use), [])
 
     def uses_reached_by(self, definition: Instr) -> List[Instr]:
-        return [self._use_instrs[uid] for uid in self.du.get(id(definition), set())]
+        return self._du.get(id(definition), [])
 
     def all_uses(self) -> List[Instr]:
-        return list(self._use_instrs.values())
+        return self._uses
 
     def all_defs(self) -> List[Instr]:
-        return list(self._def_instrs.values())
+        return self._defs
 
 
-def chains_for(cfg: CFG, reg: Reg, is_param: bool = False) -> RegChains:
-    """Compute ud/du chains of ``reg`` over ``cfg``."""
+def chains_for(cfg: CFG) -> Dict[Reg, RegChains]:
+    """ud/du chains of every register referenced in ``cfg``'s code."""
     code = cfg.code
-    chains = RegChains(reg)
+    chains: Dict[Reg, RegChains] = {}
+    def_bits: Dict[Reg, int] = {}
+    for position, instr in enumerate(code):
+        for reg in instr.regs():
+            if reg not in chains:
+                chains[reg] = RegChains(reg)
+        if instr.dst is not None:
+            chains[instr.dst]._defs.append(instr)
+            def_bits[instr.dst] = def_bits.get(instr.dst, 0) | (1 << position)
 
-    # Block-level gen: the last def of reg in the block (if any).
-    n = len(cfg.blocks)
-    gen: List[Set[DefSite]] = [set() for _ in range(n)]
-    has_def: List[bool] = [False] * n
+    # Block gen (the last def of each register) and kill (all its defs).
+    gen = [0] * len(cfg.blocks)
+    kill = [0] * len(cfg.blocks)
     for block in cfg.blocks:
-        last: Set[DefSite] = set()
-        for index in block.instr_indices():
-            instr = code[index]
-            if reg in instr.defs:
-                last = {instr}
-                has_def[block.index] = True
-                chains._def_instrs[id(instr)] = instr
-        gen[block.index] = last
+        for position in block.instr_indices():
+            bits = def_bits.get(code[position].dst, 0)
+            if bits:
+                gen[block.index] = (gen[block.index] & ~bits) | (1 << position)
+                kill[block.index] |= bits
 
-    reach_in: List[Set[DefSite]] = [set() for _ in range(n)]
-    entry_index = cfg.entry_block().index
-    if is_param:
-        reach_in[entry_index] = {ENTRY_DEF}
-
+    reach_in = [0] * len(cfg.blocks)
+    reach_out = list(gen)
+    order = cfg.reverse_postorder()
     changed = True
     while changed:
         changed = False
-        for block in cfg.reverse_postorder():
-            in_set: Set[DefSite] = set(reach_in[block.index])
+        for block in order:
+            index = block.index
+            in_bits = 0
             for pred in block.preds:
-                if has_def[pred.index]:
-                    in_set |= gen[pred.index]
-                else:
-                    in_set |= _reach_out(reach_in, gen, has_def, pred.index)
-            if block.index == entry_index and is_param:
-                in_set.add(ENTRY_DEF)
-            if in_set != reach_in[block.index]:
-                reach_in[block.index] = in_set
+                in_bits |= reach_out[pred.index]
+            reach_in[index] = in_bits
+            out_bits = gen[index] | (in_bits & ~kill[index])
+            if out_bits != reach_out[index]:
+                reach_out[index] = out_bits
                 changed = True
 
     # Walk each block forward to attach per-use chains.
     for block in cfg.blocks:
-        current = set(reach_in[block.index])
-        for index in block.instr_indices():
-            instr = code[index]
-            if reg in instr.uses:
-                chains.ud[id(instr)] = set(current)
-                chains._use_instrs[id(instr)] = instr
-                for site in current:
-                    if site is ENTRY_DEF:
-                        chains.entry_reaches_uses.add(id(instr))
-                    else:
-                        chains.du.setdefault(id(site), set()).add(id(instr))
-            if reg in instr.defs:
-                current = {instr}
+        current = reach_in[block.index]
+        for position in block.instr_indices():
+            instr = code[position]
+            for reg in instr.srcs:
+                reg_chains = chains[reg]
+                if id(instr) in reg_chains._ud:
+                    continue  # register read twice by one instruction
+                reaching = _sites(code, current & def_bits.get(reg, 0))
+                reg_chains._uses.append(instr)
+                reg_chains._ud[id(instr)] = reaching
+                for definition in reaching:
+                    reg_chains._du.setdefault(id(definition), []).append(instr)
+            if instr.dst is not None:
+                current = (current & ~def_bits[instr.dst]) | (1 << position)
     return chains
 
 
-def _reach_out(reach_in, gen, has_def, index: int) -> Set[DefSite]:
-    if has_def[index]:
-        return gen[index]
-    return reach_in[index]
+def _sites(code, bits: int) -> List[Instr]:
+    """The instructions at the set positions of ``bits``, in code order."""
+    sites = []
+    while bits:
+        low = bits & -bits
+        sites.append(code[low.bit_length() - 1])
+        bits ^= low
+    return sites

@@ -20,10 +20,8 @@ derived by mapping instructions to their owning regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from ..cfg.graph import CFG
-from ..cfg.reachdefs import chains_for
 from ..ir.iloc import Instr, Reg
 from .graph import PDGFunction
 from .liveness import FunctionAnalysis
@@ -41,17 +39,13 @@ class DataDep:
 
 def flow_dependences(analysis: FunctionAnalysis) -> List[DataDep]:
     """All def→use (true) dependences of a function."""
-    edges: List[DataDep] = []
-    seen: Set[Tuple[int, int, Reg]] = set()
-    for reg in sorted(_all_regs(analysis)):
-        chains = analysis.chains(reg)
-        for definition in chains.all_defs():
-            for use in chains.uses_reached_by(definition):
-                key = (id(definition), id(use), reg)
-                if key not in seen:
-                    seen.add(key)
-                    edges.append(DataDep(definition, use, reg, "flow"))
-    return edges
+    reaching = analysis.reaching
+    return [
+        DataDep(definition, use, reg, "flow")
+        for reg in sorted(reaching)
+        for definition in reaching[reg].all_defs()
+        for use in reaching[reg].uses_reached_by(definition)
+    ]
 
 
 def all_dependences(analysis: FunctionAnalysis) -> List[DataDep]:
@@ -99,10 +93,3 @@ def region_level_dependences(
             continue
         lifted.add((src[0].name, dst[0].name, dep.kind))
     return lifted
-
-
-def _all_regs(analysis: FunctionAnalysis) -> Set[Reg]:
-    regs: Set[Reg] = set()
-    for instr in analysis.linear.instrs:
-        regs.update(instr.regs())
-    return regs

@@ -21,11 +21,12 @@ PDG (RAP rebuilds one per allocation round, mirroring the paper's
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Optional, Set
 
+from ..cfg import reachdefs
 from ..cfg.graph import CFG
 from ..cfg.liveness import LivenessResult, compute_liveness
-from ..cfg.reachdefs import RegChains, chains_for
 from ..ir.iloc import Instr, Reg
 from .graph import PDGFunction
 from .linearize import LinearCode, linearize
@@ -46,7 +47,6 @@ class FunctionAnalysis:
         self._referenced: Dict[int, Set[Reg]] = {}
         self._ref_counts: Optional[Dict[Reg, int]] = None
         self._region_ref_counts: Dict[int, Dict[Reg, int]] = {}
-        self._chains: Dict[Reg, RegChains] = {}
 
     # -- per-instruction ----------------------------------------------------
 
@@ -99,10 +99,8 @@ class FunctionAnalysis:
 
     # -- chains ---------------------------------------------------------------
 
-    def chains(self, reg: Reg) -> RegChains:
-        """ud/du chains of one register (used by spill insertion);
-        memoized per register for the lifetime of the snapshot."""
-        cached = self._chains.get(reg)
-        if cached is None:
-            cached = self._chains[reg] = chains_for(self.cfg, reg)
-        return cached
+    @cached_property
+    def reaching(self) -> Dict[Reg, reachdefs.RegChains]:
+        """ud/du chains of every register: one reaching-definitions solve
+        per snapshot, computed on first use."""
+        return reachdefs.chains_for(self.cfg)

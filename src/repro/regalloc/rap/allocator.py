@@ -101,8 +101,6 @@ class RAPContext:
             self.analysis_builds += 1
         return self._analysis
 
-    fresh_analysis = analysis
-
     def planning_analysis(self) -> FunctionAnalysis:
         """The round-start snapshot, tolerated stale across same-round
         spill insertions.

@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...cfg.graph import CFG, BasicBlock
+from ...cfg.reachdefs import RegChains
 from ...ir.iloc import Instr, Op, Reg, Symbol, ldm, stm
 from ...pdg.liveness import FunctionAnalysis
 from ...pdg.nodes import Item, Predicate, Region
@@ -139,7 +140,9 @@ def spill_register(ctx, region: Region, victim: Reg) -> None:
         )
         if corrupted != slot.name:
             load_slot = Symbol(corrupted, "spill")
-    chains = analysis.chains(victim)
+    # A victim whose references an earlier rematerialization of this round
+    # swept away as dead has no defs or uses left: its chains are empty.
+    chains = analysis.reaching.get(victim) or RegChains(victim)
 
     inside_ids = {id(instr) for instr in region.walk_instrs()}
     direct = region.direct_instrs()
@@ -154,10 +157,7 @@ def spill_register(ctx, region: Region, victim: Reg) -> None:
     uses_needing_load = [
         use
         for use in outside_uses
-        if any(
-            not isinstance(site, str) and id(site) in inside_ids
-            for site in chains.defs_reaching(use)
-        )
+        if any(id(site) in inside_ids for site in chains.defs_reaching(use))
     ]
     patched_use_ids = {id(use) for use in uses_needing_load}
     defs_needing_store: List[Instr] = []

@@ -204,8 +204,8 @@ class SSAValidationError(StageError):
     or — the semantic recheck — a use renamed to an SSA value whose
     feeding original definitions do not all reach that use (a stale-def
     renaming bug).  Raised by the independent SSA-construction validator,
-    which recomputes reaching definitions of each original register on
-    the aligned pre-rename snapshot."""
+    which recomputes reaching definitions of every original register (one
+    solve) on the aligned pre-rename snapshot."""
 
 
 class DestructValidationError(StageError):

@@ -815,8 +815,7 @@ def validate_ssa_construction(cert, context: StageContext) -> None:
                     )
 
     # --- semantics: feeding defs vs recomputed reaching definitions ----
-    pre_cfg = CFG(pre)
-    chains_cache: Dict[Reg, Any] = {}
+    reaching = chains_for(CFG(pre))
     feed_cache: Dict[Reg, Set[Any]] = {}
     _ENTRY = object()  # feeding marker for undef values
 
@@ -865,13 +864,8 @@ def validate_ssa_construction(cert, context: StageContext) -> None:
                     f"{src}, whose origin is {origin}",
                     _extend(ctx, position=position),
                 )
-            chains = chains_cache.get(origin)
-            if chains is None:
-                chains = chains_cache[origin] = chains_for(pre_cfg, origin)
             allowed = {
-                id(site)
-                for site in chains.defs_reaching(original)
-                if isinstance(site, Instr)
+                id(site) for site in reaching[origin].defs_reaching(original)
             }
             for feed in feeding_defs(src):
                 if feed is _ENTRY:

@@ -1,5 +1,6 @@
 """Tests for DOT export."""
 
+from repro.bench.suite import program
 from repro.compiler import compile_source
 from repro.pdg.dot import to_dot
 
@@ -41,3 +42,15 @@ def test_dot_with_data_deps_adds_dashed_edges():
     func = compile_source(SRC).module.functions["f"]
     dot = to_dot(func, include_data_deps=True)
     assert "style=dashed" in dot
+
+
+def test_data_dep_edges_do_not_depend_on_object_addresses():
+    # Two deep copies of one module hold their instructions at different
+    # addresses; both must render the same text.
+    bench = program("livermore")
+    prog = compile_source(bench.source(), filename=bench.filename)
+    first, second = prog.fresh_module(), prog.fresh_module()
+    for name, func in first.functions.items():
+        assert to_dot(func, include_data_deps=True) == to_dot(
+            second.functions[name], include_data_deps=True
+        ), name

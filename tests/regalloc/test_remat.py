@@ -13,6 +13,7 @@ from repro.regalloc.remat import (
     rematerialize_linear,
     sweep_dead_defs_linear,
 )
+from repro.testing import random_source
 
 # Six loop-invariant constants force spilling at k=3; all are
 # rematerializable, so remat should wipe out the spill memory traffic.
@@ -176,3 +177,9 @@ class TestAllocatorsWithRemat:
         """
         for allocator in (allocate_gra, allocate_rap):
             run_with(source, allocator, 3, remat=True)
+
+    def test_rap_spills_victim_swept_by_same_round_remat(self):
+        # In this program an earlier rematerialization of a round sweeps
+        # away every reference to a later victim of the same round; its
+        # spill must see empty chains, not a missing register.
+        run_with(random_source(12123, "small"), allocate_rap, 3, remat=True)
